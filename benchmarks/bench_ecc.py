@@ -14,6 +14,13 @@ does for the TEST_MODEL page):
   try/except scalar loop, the retention/high-PEC shape where failures are
   expected.
 
+A second table, ``fleet_shape``, times the drive fleet's dirty path:
+BCH(m=10, t=30) on 640-bit words, as every hidden fleet slot is coded.
+Each row decodes the same words at 3-8 or 15-25 raw errors per word,
+once as one ``decode_many`` call per word (batch 1, the per-call cost
+a one-page decode pays) and once in calls of 300 words (a full
+shard-round), against the scalar loop over the same words.
+
 Acceptance bars: batch/scalar >= 5x for ``decode_clean`` and
 ``decode_dirty`` (ISSUE 3), >= 2x for ``encode`` (ISSUE 2).  Usage::
 
@@ -48,6 +55,13 @@ CODE_PARAMS = (13, 8)
 FULL = dict(words_per_page=2, word_bits=4512, pages=64, repeats=3)
 TINY = dict(words_per_page=2, word_bits=512, pages=16, repeats=3)
 
+#: The fleet's hidden-slot codec and coded word length.
+FLEET_CODE_PARAMS = (10, 30)
+FLEET_WORD_BITS = 640
+#: (words per row, batch sizes, error ranges) of the fleet-shape table.
+FLEET_FULL = dict(words=300, batches=(1, 300), errors=((3, 8), (15, 25)))
+FLEET_TINY = dict(words=30, batches=(1, 30), errors=((3, 8), (15, 25)))
+
 #: (benchmark name, minimum batch/scalar speedup) — ISSUE 2/3 acceptance.
 SPEEDUP_FLOORS = {"decode_clean": 5.0, "encode": 2.0, "decode_dirty": 5.0}
 
@@ -65,6 +79,20 @@ def _page_words(code, word_bits, pages, words_per_page, weight):
         positions = rng.choice(word.size, size=weight, replace=False)
         word[positions] ^= 1
     return datas, coded
+
+
+def _fleet_words(code, n_words, low, high):
+    """Fleet-shaped codewords with `low`..`high` errors each."""
+    rng = np.random.default_rng(7000 + low)
+    datas = [
+        rng.integers(0, 2, FLEET_WORD_BITS - code.n_parity).astype(np.uint8)
+        for _ in range(n_words)
+    ]
+    words = code.encode_many(datas)
+    for word in words:
+        weight = int(rng.integers(low, high + 1))
+        word[rng.choice(word.size, size=weight, replace=False)] ^= 1
+    return words
 
 
 def _scalar_decode_all(code, words):
@@ -167,6 +195,36 @@ def collect(params) -> dict:
         )
         _assert_agreement(code, words)
 
+    fleet_params = params["fleet"]
+    fleet_code = get_code(*FLEET_CODE_PARAMS)
+    fleet_rows = {}
+    for low, high in fleet_params["errors"]:
+        words = _fleet_words(fleet_code, fleet_params["words"], low, high)
+        _assert_agreement(fleet_code, words)
+        scalar_s = _time(
+            lambda: _scalar_decode_all(fleet_code, words), repeats
+        )
+        for batch in fleet_params["batches"]:
+            chunks = [
+                words[start:start + batch]
+                for start in range(0, len(words), batch)
+            ]
+            batch_s = _time(
+                lambda: [
+                    fleet_code.decode_many(chunk, on_error="return")
+                    for chunk in chunks
+                ],
+                repeats,
+            )
+            fleet_rows[f"dirty_b{batch}_e{low}-{high}"] = {
+                "words": len(words),
+                "calls": len(chunks),
+                "scalar_s": round(scalar_s, 4),
+                "batch_s": round(batch_s, 4),
+                "batch_ms_per_call": round(1e3 * batch_s / len(chunks), 3),
+                "speedup": round(scalar_s / batch_s, 2),
+            }
+
     return {
         "machine": {
             "cpu_count": os.cpu_count(),
@@ -180,6 +238,14 @@ def collect(params) -> dict:
         "workload": {k: params[k] for k in
                      ("words_per_page", "word_bits", "pages", "repeats")},
         "benchmarks": benchmarks,
+        "fleet_shape": {
+            "code": {
+                "m": FLEET_CODE_PARAMS[0], "t": FLEET_CODE_PARAMS[1],
+                "n": fleet_code.n, "n_parity": fleet_code.n_parity,
+                "word_bits": FLEET_WORD_BITS,
+            },
+            "benchmarks": fleet_rows,
+        },
     }
 
 
@@ -188,7 +254,10 @@ def main(argv=None) -> int:
     tiny = "--tiny" in argv
     argv = [a for a in argv if a != "--tiny"]
     output = Path(argv[0]) if argv else DEFAULT_OUTPUT
-    results = collect(TINY if tiny else FULL)
+    params = dict(TINY, fleet=FLEET_TINY) if tiny else dict(
+        FULL, fleet=FLEET_FULL
+    )
+    results = collect(params)
     if tiny:
         print("tiny workload: skipping speedup floors, not writing "
               f"{output.name}")
@@ -198,6 +267,11 @@ def main(argv=None) -> int:
     for name, entry in results["benchmarks"].items():
         print(f"  {name}: scalar {entry['scalar_s']}s, "
               f"batch {entry['batch_s']}s, {entry['speedup']}x")
+    for name, entry in results["fleet_shape"]["benchmarks"].items():
+        print(f"  fleet {name}: scalar {entry['scalar_s']}s, "
+              f"batch {entry['batch_s']}s in {entry['calls']} calls "
+              f"({entry['batch_ms_per_call']} ms/call), "
+              f"{entry['speedup']}x")
     if tiny:
         # Even without amortisation the batch dirty path must not lose
         # to the scalar loop — the dispatch overhead has to stay small.

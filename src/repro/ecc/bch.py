@@ -16,14 +16,19 @@ Batch APIs (:meth:`BchCode.encode_many` / :meth:`BchCode.decode_many`)
 vectorise the per-page hot paths: encoding is one GF(2) matrix multiply
 against the precomputed parity generator, and decoding re-encodes the
 whole batch to find the dirty words, so the common error-free case never
-touches Berlekamp-Massey or Chien search.  Dirty words no longer fall
-back to scalar Python either: Berlekamp-Massey runs in lockstep over the
-whole dirty batch as numpy int arrays (fixed 2t iterations, vectorised
-GF arithmetic from :mod:`repro.ecc.gf`), and Chien search evaluates all
-error locators at all positions via a precomputed ``(t+1, n)`` exponent
-matrix — log-domain adds plus antilog gathers, no per-root loop.  Codecs
-are cached in a process-wide registry (:func:`get_code`), so the
-expensive generator / remainder / Chien tables are built once per
+touches Berlekamp-Massey or Chien search.  Dirty words stay vectorised
+too.  Their received-minus-re-encoded difference lives in the parity
+columns only, so the odd syndromes are one more GF(2) GEMM against a
+cached parity-column bit-plane matrix, and the even ones are squares of
+the odd ones (S_2j = S_j^2).  Berlekamp-Massey runs in lockstep over the
+whole dirty batch with Berlekamp's binary simplification (the odd-step
+discrepancies of a binary word's syndromes are zero, so t of the 2t
+steps do real work); each discrepancy and each locator update is one
+masked log/antilog gather.  Chien search evaluates all error locators
+at all positions via a precomputed ``(t+1, n)`` exponent matrix —
+log-domain adds plus antilog gathers, no per-root loop.  Codecs are
+cached in a process-wide registry (:func:`get_code`), so the expensive
+generator / remainder / syndrome / Chien tables are built once per
 process — including pool workers.
 """
 
@@ -118,7 +123,7 @@ class BchCode:
             )
         self._remainder_table = None
         self._parity_matrix_cache = None
-        self._power_table_cache = None
+        self._syndrome_matrix_cache = None
         self._chien_table_cache = None
         #: duplicated exp table for vectorised syndromes/Chien — any sum
         #: of two logs indexes it without a modulo.
@@ -136,8 +141,12 @@ class BchCode:
         self._expf8 = (
             self.field.exp_np ^ (self.field.exp_np >> 8)
         ).astype(np.uint8)
-        #: syndrome indices 1..2t, precomputed for the batch kernels.
-        self._js = np.arange(1, 2 * self.t + 1, dtype=np.int64)
+        #: S_j = S_o^(2^a) for j = 2^a * o with o odd: per j = 1..2t, the
+        #: squaring exponent 2^a (j's lowest set bit) and S_o's column
+        #: among the odd syndromes.
+        js = np.arange(1, 2 * self.t + 1, dtype=np.int64)
+        self._square_exponents = js & -js
+        self._odd_columns = (js // self._square_exponents - 1) // 2
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"BchCode(n={self.n}, k={self.k}, t={self.t})"
@@ -311,8 +320,12 @@ class BchCode:
             # codeword, i.e. iff re-encoding its data bits reproduces it.
             # Batch re-encode (the GEMM kernel) is far cheaper than
             # evaluating 2t syndromes per word.
-            reencoded = self._encode_batch(stacked[:, : size - self.n_parity])
-            diff = stacked ^ reencoded
+            # Re-encoding copies the data bits, so the difference lives in
+            # the parity columns only.
+            data_len = size - self.n_parity
+            diff = stacked[:, data_len:] ^ self._parity_batch(
+                stacked[:, :data_len]
+            )
             dirty = diff.any(axis=1)
             for row, index in enumerate(indices):
                 if dirty[row]:
@@ -324,23 +337,16 @@ class BchCode:
                 )
             dirty_rows = np.flatnonzero(dirty)
             _OBS["dirty_words"].inc(int(dirty_rows.size))
-            # Bound the batch solver's (rows, word_len) temporaries the
-            # same way _syndromes_batch does: chunk huge dirty batches.
+            # Bound the batch solver's (rows, word_len) temporaries: chunk
+            # huge dirty batches.
             chunk_rows = max(1, 4_000_000 // max(size, 1))
             for start in range(0, dirty_rows.size, chunk_rows):
                 rows = dirty_rows[start:start + chunk_rows]
                 received = stacked[rows]
                 # S(received) == S(received ^ reencoded): the re-encoded
                 # word is a valid codeword (zero syndromes) and syndromes
-                # are GF-linear.  The XOR difference is far sparser than
-                # the received word — error-ish set bits instead of ~W/2 —
-                # so the gather/reduceat kernel touches 20x fewer cells.
-                # (flatnonzero + divmod beats 2-D nonzero ~1.7x here.)
-                flat = np.flatnonzero(diff[rows].reshape(-1))
-                set_rows, set_cols = np.divmod(flat, size)
-                syndromes = self._syndromes_from_bits(
-                    set_rows, set_cols, rows.size, shortening
-                )
+                # are GF-linear.
+                syndromes = self._parity_syndromes(diff[rows])
                 outcomes = self._decode_dirty_batch(
                     received, syndromes, shortening
                 )
@@ -432,13 +438,14 @@ class BchCode:
         corrected = received[located]  # fancy index -> fresh copy
         corrected[flip_rows, flip_cols] ^= 1
         # Re-check: a decoding beyond capacity can produce bogus fixes.
-        # S(corrected) = S(received) ^ S(flips), and the flip coordinates
-        # are already in hand, so the recheck costs a gather over <= t
-        # flip bits per word — no dense array, no full syndrome pass.
-        residual = syndromes[located] ^ self._syndromes_from_bits(
-            flip_rows, flip_cols, located.size, shortening
-        )
-        still_dirty = (residual != 0).any(axis=1)
+        # A word has all-zero syndromes iff it is a codeword, i.e. iff
+        # re-encoding its data bits reproduces its parity.
+        data_len = word_len - self.n_parity
+        still_dirty = (
+            corrected[:, data_len:] != self._parity_batch(
+                corrected[:, :data_len]
+            )
+        ).any(axis=1)
         offsets = np.zeros(located.size + 1, dtype=np.int64)
         np.cumsum(root_counts[counts_match], out=offsets[1:])
         for position, row in enumerate(located):
@@ -515,104 +522,70 @@ class BchCode:
         return self._parity_matrix_cache
 
     def _encode_batch(self, data: np.ndarray) -> np.ndarray:
+        """Codewords for a uniform-length batch: ``(B, L)`` data bits to
+        ``(B, L + n_parity)`` transmitted words."""
+        return np.concatenate([data, self._parity_batch(data)], axis=1)
+
+    def _parity_batch(self, data: np.ndarray) -> np.ndarray:
         """Parity for a uniform-length batch: GF(2) matrix encode.
 
-        `data` is ``(B, L)`` bits; returns ``(B, L + n_parity)``
-        codewords.  Parity bit counts are one (B, L) x (L, n_parity)
-        GEMM — exact in float32 since every count is an integer < 2**24 —
-        and the GF(2) reduction is ``count & 1``.
+        `data` is ``(B, L)`` bits; returns the ``(B, n_parity)`` parity
+        bits in transmitted order.  Parity bit counts are one (B, L) x
+        (L, n_parity) GEMM — exact in float32 since every count is an
+        integer < 2**24 — and the GF(2) reduction is ``count & 1``.
         """
         n_words, length = data.shape
-        if length:
-            counts = data.astype(np.float32) @ self._parity_matrix()[
-                self.k - length:
-            ]
-            parity = (counts.astype(np.int64) & 1).astype(np.uint8)
-        else:
-            parity = np.zeros((n_words, self.n_parity), dtype=np.uint8)
+        if not length:
+            return np.zeros((n_words, self.n_parity), dtype=np.uint8)
+        counts = data.astype(np.float32) @ self._parity_matrix()[
+            self.k - length:
+        ]
         # Parity column j is the coefficient of x^j; transmitted parity
         # is ordered highest degree first.
-        return np.ascontiguousarray(
-            np.concatenate([data, parity[:, ::-1]], axis=1)
+        return (counts[:, ::-1].astype(np.int64) & 1).astype(np.uint8)
+
+    def _syndrome_matrix(self) -> np.ndarray:
+        """The odd syndromes' GF(2) bit planes over the parity columns.
+
+        Shape ``(n_parity, t * m)``: row ``p`` holds the m bits of
+        ``alpha^(j * d)`` for each odd j in 1..2t-1, where
+        ``d = n_parity - 1 - p`` is the polynomial degree of transmitted
+        parity column p — the same for every shortened length.  float32
+        for the same exact-GEMM reason as :meth:`_parity_matrix`.
+        """
+        if self._syndrome_matrix_cache is None:
+            degrees = np.arange(self.n_parity - 1, -1, -1, dtype=np.int64)
+            odd_js = np.arange(1, 2 * self.t, 2, dtype=np.int64)
+            values = self._exp[
+                (degrees[:, None] * odd_js[None, :]) % self.field.order
+            ]
+            planes = np.arange(self.field.m, dtype=np.int64)
+            bits = (values[:, :, None] >> planes) & 1
+            self._syndrome_matrix_cache = bits.reshape(
+                self.n_parity, -1
+            ).astype(np.float32)
+        return self._syndrome_matrix_cache
+
+    def _parity_syndromes(self, parity_diff: np.ndarray) -> np.ndarray:
+        """S_1..S_2t of words nonzero only in their parity columns.
+
+        ``parity_diff`` is ``(B, n_parity)`` bits; returns ``(B, 2t)``
+        int64.  The odd syndromes are one GEMM against
+        :meth:`_syndrome_matrix` reduced ``& 1`` and packed to field
+        elements; every even one is a repeated square of an odd one
+        (S_2j = S_j^2 over GF(2^m)), one log-domain gather.
+        """
+        field = self.field
+        counts = parity_diff.astype(np.float32) @ self._syndrome_matrix()
+        bits = (counts.astype(np.int64) & 1).reshape(
+            parity_diff.shape[0], self.t, field.m
         )
-
-    def _power_table(self) -> np.ndarray:
-        """``alpha^(j * d)`` for j in 1..2t and d in [0, n), lazily built.
-
-        Turns batch syndrome evaluation into a pure gather — no per-call
-        exponent multiply/modulo.
-        """
-        if self._power_table_cache is None:
-            degrees = np.arange(self.n, dtype=np.int64)
-            exponents = (self._js[:, None] * degrees[None, :]) % (
-                self.field.order
-            )
-            self._power_table_cache = self._exp[exponents]
-        return self._power_table_cache
-
-    def _syndromes_batch(
-        self, received: np.ndarray, shortening: int
-    ) -> np.ndarray:
-        """S_1..S_2t for every row of a uniform-length batch.
-
-        `received` is ``(B, W)`` bits; returns ``(B, 2t)`` int64.  All
-        rows' syndromes come out of one gather over the exp table plus one
-        XOR ``reduceat`` — no per-word Python loop.
-        """
-        n_words, word_len = received.shape
-        n_syndromes = 2 * self.t
-        out = np.zeros((n_words, n_syndromes), dtype=np.int64)
-        # Bound the (2t, set-bit-count) temporary: large batches (a whole
-        # block's pages) chunk by rows, each chunk one vectorised pass.
-        max_cells = 4_000_000
-        chunk_rows = max(1, max_cells // max(word_len * n_syndromes, 1))
-        if n_words > chunk_rows:
-            for start in range(0, n_words, chunk_rows):
-                out[start:start + chunk_rows] = self._syndromes_batch(
-                    received[start:start + chunk_rows], shortening
-                )
-            return out
-        set_rows, set_cols = np.nonzero(received)
-        return self._syndromes_from_bits(
-            set_rows, set_cols, n_words, shortening, out=out
-        )
-
-    def _syndromes_from_bits(
-        self,
-        set_rows: np.ndarray,
-        set_cols: np.ndarray,
-        n_words: int,
-        shortening: int,
-        out: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """S_1..S_2t for a batch given as set-bit ``(row, col)`` indices.
-
-        ``set_rows`` must be sorted ascending (row-major nonzero order).
-        Callers that already hold the set-bit coordinates — the recheck
-        of the corrected words knows its flip positions exactly — skip
-        the dense ``(B, W)`` materialisation and its nonzero pass.
-        """
-        if out is None:
-            out = np.zeros((n_words, 2 * self.t), dtype=np.int64)
-        if set_rows.size == 0:
-            return out
-        degrees = (self.n - 1 - shortening - set_cols).astype(np.int64)
-        values = self._power_table()[:, degrees]  # (2t, S)
-        counts = np.bincount(set_rows, minlength=n_words)
-        boundaries = np.zeros(n_words, dtype=np.int64)
-        boundaries[1:] = np.cumsum(counts)[:-1]
-        # reduceat over the occupied rows only: their boundaries are
-        # strictly increasing and in range, and each segment ends exactly
-        # at the next occupied row's start.  (Clamping boundaries of
-        # zero-bit rows instead would corrupt the preceding row's
-        # segment — all-zero rows do occur, e.g. a corrected word that is
-        # the all-zero codeword.)
-        occupied = np.flatnonzero(counts)
-        acc = np.bitwise_xor.reduceat(
-            values, boundaries[occupied], axis=1
-        )  # (2t, occupied)
-        out[occupied] = acc.T
-        return out
+        odd = bits @ (np.int64(1) << np.arange(field.m, dtype=np.int64))
+        bases = odd[:, self._odd_columns]
+        exponents = (
+            field.log_np[bases] * self._square_exponents
+        ) % field.order
+        return np.where(bases != 0, self._exp[exponents], 0)
 
     def _syndromes(self, received: np.ndarray, shortening: int) -> List[int]:
         """S_j = r(alpha^j) for j = 1..2t, for a shortened word.
@@ -697,14 +670,27 @@ class BchCode:
         ``syndromes`` is ``(B, 2t)`` int64; returns ``(B, 2t + 1)`` int64
         coefficient rows, lowest degree first.  Row b equals
         ``_berlekamp_massey(list(syndromes[b]))`` zero-padded on the
-        right: the iteration count (2t) is data-independent, so all words
+        right: the iteration count is data-independent, so all words
         advance together and per-word control flow becomes masks.  Width
         2t + 1 suffices because Massey's invariant deg(sigma) <= L <= 2t
         bounds every locator the scalar code can build.
+
+        Berlekamp's binary simplification: when every row satisfies
+        S_2j = S_j^2 — true of any received binary word — the
+        discrepancy of every odd step (the one consuming S_2j) is zero,
+        so those steps reduce to ``m_gap += 1`` and t of the 2t steps do
+        field arithmetic.  Arbitrary syndrome rows take every step.
         """
-        field = self.field
+        exp, log = self._exp, self.field.log_np
+        order = self.field.order
         n_rows, n_syndromes = syndromes.shape
         width = n_syndromes + 1
+        halves = syndromes[:, : n_syndromes // 2]
+        binary = np.array_equal(
+            syndromes[:, 1::2], np.where(halves != 0, exp[2 * log[halves]], 0)
+        )
+        syndrome_logs = log[syndromes]
+        syndrome_live = syndromes != 0
         row_ids = np.arange(n_rows, dtype=np.intp)[:, None]
         columns = np.arange(width, dtype=np.int64)[None, :]
         sigma = np.zeros((n_rows, width), dtype=np.int64)
@@ -714,30 +700,46 @@ class BchCode:
         m_gap = np.ones(n_rows, dtype=np.int64)
         length = np.zeros(n_rows, dtype=np.int64)
         for i in range(n_syndromes):
+            if binary and i % 2:
+                m_gap += 1
+                continue
             discrepancy = syndromes[:, i].copy()
-            # j runs over 1..length per word; length never exceeds i here
-            # (it was set at an earlier iteration), so the max() bound
-            # keeps the inner loop at the longest live LFSR.
-            for j in range(1, min(i, int(length.max())) + 1):
-                term = field.mul_vec(sigma[:, j], syndromes[:, i - j])
-                discrepancy ^= np.where(j <= length, term, 0)
+            # sum_{j=1..length} sigma_j * S_(i-j), as one masked gather
+            # over the window of the longest live LFSR (length <= i).
+            window = min(i, int(length.max()))
+            if window:
+                js = np.arange(1, window + 1, dtype=np.int64)
+                coefficients = sigma[:, 1:window + 1]
+                live = (
+                    (coefficients != 0)
+                    & syndrome_live[:, i - js]
+                    & (js <= length[:, None])
+                )
+                terms = np.where(
+                    live,
+                    exp[log[coefficients] + syndrome_logs[:, i - js]],
+                    0,
+                )
+                discrepancy ^= np.bitwise_xor.reduce(terms, axis=1)
             active = discrepancy != 0
             if not active.any():
                 m_gap += 1
                 continue
-            # Inactive rows get scale 0, so their adjustment vanishes and
-            # sigma passes through unchanged — no scatter needed.
-            scale = field.div_vec(
-                np.where(active, discrepancy, 0), prev_discrepancy
-            )
-            # x^m_gap * prev_sigma, each row shifted by its own gap.
+            # sigma ^= (discrepancy / prev_discrepancy) * x^m_gap *
+            # prev_sigma, each row shifted by its own gap; inactive rows
+            # are masked out, so their sigma passes through unchanged.
             source = columns - m_gap[:, None]
             shifted = np.where(
                 source >= 0,
                 prev_sigma[row_ids, np.maximum(source, 0)],
                 0,
             )
-            adjustment = field.mul_vec(scale[:, None], shifted)
+            scale_logs = (log[discrepancy] - log[prev_discrepancy]) % order
+            adjustment = np.where(
+                active[:, None] & (shifted != 0),
+                exp[scale_logs[:, None] + log[shifted]],
+                0,
+            )
             update = active & (2 * length <= i)
             prev_sigma = np.where(update[:, None], sigma, prev_sigma)
             prev_discrepancy = np.where(

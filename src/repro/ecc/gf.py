@@ -4,10 +4,10 @@ The base layer for the BCH codec.  Elements are represented as integers in
 ``[0, 2^m)`` whose bits are polynomial coefficients over GF(2); arithmetic
 uses precomputed exponential/logarithm tables over a primitive element.
 
-Besides the scalar ops, the field exposes vectorised counterparts
-(:meth:`GF2m.mul_vec` / :meth:`GF2m.div_vec` / :meth:`GF2m.inv_vec`) that
-operate elementwise on integer numpy arrays; the batched Berlekamp-Massey
-kernel in :mod:`repro.ecc.bch` is built on them.
+The numpy copies of the tables (``exp_np`` / ``log_np``) are what the
+batch kernels in :mod:`repro.ecc.bch` build on: they do their field
+arithmetic as whole-array log/antilog gathers rather than through
+per-element helpers.
 """
 
 from __future__ import annotations
@@ -124,36 +124,6 @@ class GF2m:
     def alpha_pow(self, e: int) -> int:
         """alpha^e for the primitive element alpha."""
         return self.exp[e % self.order]
-
-    # ------------------------------------------------------------------
-    # vectorised arithmetic on integer numpy arrays (broadcasting like
-    # the underlying numpy ops); elementwise identical to the scalar ops
-
-    def mul_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Elementwise product of two arrays of field elements."""
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        # log[0] is a placeholder 0; the zero-operand mask discards it.
-        products = self.exp_np[self.log_np[a] + self.log_np[b]]
-        return np.where((a == 0) | (b == 0), 0, products)
-
-    def div_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Elementwise quotient a / b; every element of b must be nonzero."""
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        if (b == 0).any():
-            raise ZeroDivisionError("division by zero in GF(2^m)")
-        quotients = self.exp_np[
-            (self.log_np[a] - self.log_np[b]) % self.order
-        ]
-        return np.where(a == 0, 0, quotients)
-
-    def inv_vec(self, a: np.ndarray) -> np.ndarray:
-        """Elementwise multiplicative inverse; all elements must be nonzero."""
-        a = np.asarray(a, dtype=np.int64)
-        if (a == 0).any():
-            raise ZeroDivisionError("zero has no inverse in GF(2^m)")
-        return self.exp_np[self.order - self.log_np[a]]
 
     # ------------------------------------------------------------------
     # polynomials over the field, coefficient lists lowest-degree first

@@ -18,8 +18,9 @@ The request queue admits at most one request per tenant per round, so a
 round's batches always address distinct ``(block, page)`` locations.
 
 :meth:`FleetService.execute_round` is the shared execution engine: it
-plans every request, then runs the chip work in phases (program →
-encode → embed → threshold-read → decode).  The two schedulers differ
+plans every request, rebuilds the round's burned-out tenant blocks in
+one batch, then runs the chip work in phases (encode → embed →
+threshold-read → decode).  The two schedulers differ
 *only* in how many requests they hand it per call — one (naive
 per-request dispatch) or a whole round (coalesced) — which is exactly
 the batch-kernel fill factor the benchmark measures.
@@ -508,8 +509,8 @@ class FleetService:
             )
         outcome: Dict[int, Response] = {}
 
-        # -- plan writes (tenant-local; may trigger a rebuild) ----------
-        write_meta: List[Tuple[Request, TenantState, int, int, bytes]] = []
+        # -- plan writes (tenant-local) ---------------------------------
+        accepted: List[Tuple[Request, TenantState]] = []
         for request in requests:
             if request.kind != "write":
                 continue
@@ -526,8 +527,17 @@ class FleetService:
                     request.tenant, "write", request.lba, "full"
                 )
                 continue
-            if not ts.free_pages:
-                self._rebuild(ts, drop_lba=request.lba)
+            accepted.append((request, ts))
+
+        # -- rebuild every burned-out tenant block in one phase ---------
+        self._rebuild(
+            shard,
+            [(ts, request.lba) for request, ts in accepted
+             if not ts.free_pages],
+        )
+
+        write_meta: List[Tuple[Request, TenantState, int, int, bytes]] = []
+        for request, ts in accepted:
             page = ts.free_pages.pop(0)
             ts.seq += 1
             blob = pack_slot(
@@ -540,20 +550,10 @@ class FleetService:
 
         # -- encode + embed the round's writes in one batch -------------
         if write_meta:
-            addresses = [
-                self.model.geometry.page_address(ts.block, page)
-                for _, ts, page, _, _ in write_meta
-            ]
-            coded = shard.vthi.codec.encode_pages_keyed(
-                [ts.key for _, ts, _, _, _ in write_meta],
-                addresses,
-                [blob for _, _, _, _, blob in write_meta],
+            stats = self._embed_blobs(
+                shard,
+                [(ts, page, blob) for _, ts, page, _, blob in write_meta],
             )
-            items = []
-            for (request, ts, page, _, _), bits in zip(write_meta, coded):
-                cells = self._selection(ts, page)
-                items.append((ts.block, page, cells[bits == 0]))
-            stats = shard.vthi.embed_prepared(items)
             for (request, ts, page, seq, _), (steps, _) in zip(
                 write_meta, stats
             ):
@@ -690,74 +690,102 @@ class FleetService:
             on_error=on_error,
         )
 
-    def _rebuild(self, ts: TenantState, drop_lba: int) -> None:
-        """Erase a full tenant block and re-embed its live slots.
+    def _embed_blobs(
+        self,
+        shard: Shard,
+        targets: Sequence[Tuple[TenantState, int, bytes]],
+    ) -> List[tuple]:
+        """Keyed batch encode + one cross-block embed of slot blobs at
+        (tenant, page), the write-side twin of :meth:`_recover_blobs`.
+
+        Returns :meth:`~repro.hiding.VtHi.embed_prepared`'s per-target
+        ``(pp_steps_used, cells_left_below)``.
+        """
+        coded = shard.vthi.codec.encode_pages_keyed(
+            [ts.key for ts, _, _ in targets],
+            [
+                self.model.geometry.page_address(ts.block, page)
+                for ts, page, _ in targets
+            ],
+            [blob for _, _, blob in targets],
+        )
+        return shard.vthi.embed_prepared([
+            (ts.block, page, self._selection(ts, page)[bits == 0])
+            for (ts, page, _), bits in zip(targets, coded)
+        ])
+
+    def _rebuild(
+        self, shard: Shard, jobs: Sequence[Tuple[TenantState, int]]
+    ) -> None:
+        """Erase full tenant blocks and re-embed their live slots.
 
         The tenant-volume equivalent of §5.1's re-embedding duty: when
-        every host page of the epoch is burned, live payloads (minus the
-        LBA being overwritten) are read back, the block is erased, fresh
-        cover data is programmed and the survivors are re-embedded.  All
-        operations touch only this tenant's block, and the whole
-        procedure runs at request-planning time in both schedulers, so
-        its position in the tenant's operation sequence is identical
-        under naive and coalesced dispatch.
+        every host page of a tenant's epoch is burned, its live payloads
+        (minus the LBA being overwritten, the job's second element) are
+        read back, the block is erased, fresh cover data is programmed
+        and the survivors are re-embedded on the first host pages.
+
+        All jobs of a shard-round go through each phase together.  Jobs
+        are distinct tenants, hence distinct blocks, and the chip state
+        these operations touch is per block, so this is bit-identical to
+        rebuilding them one at a time; a naive request's rebuild is a
+        one-job batch.  Rebuilds run at write-planning time in both
+        schedulers, so each sits at the same point of its tenant's
+        operation sequence under naive and coalesced dispatch.
         """
-        _OBS_REBUILDS.inc()
-        shard = self.shards[ts.shard]
-        candidates = sorted(
-            (lba, entry)
-            for lba, entry in ts.slots.items()
+        if not jobs:
+            return
+        _OBS_REBUILDS.inc(len(jobs))
+        candidates = [
+            (ts, lba, entry)
+            for ts, drop_lba in jobs
+            for lba, entry in sorted(ts.slots.items())
             if lba != drop_lba
-        )
-        live: List[Tuple[int, Tuple[int, int, int]]] = []
-        payloads: List[bytes] = []
-        if candidates:
-            blobs = self._recover_blobs(
+        ]
+        blobs = (
+            self._recover_blobs(
                 shard,
-                [(ts, entry[0]) for _, entry in candidates],
+                [(ts, entry[0]) for ts, _, entry in candidates],
                 on_error="return",
             )
-            for (lba, entry), blob in zip(candidates, blobs):
-                if blob is None:
-                    # Uncorrectable slot: the data is gone.  Dropping it
-                    # (subsequent reads see not_found) keeps the fleet
-                    # serving; the decode result — and hence the loss —
-                    # is identical under both schedulers.
-                    _OBS_LOST_SLOTS.inc()
-                    continue
-                live.append((lba, entry))
-                payloads.append(blob)
-        shard.chip.erase_block(ts.block)
-        ts.epoch += 1
-        ts.cover_bits = {}
-        ts.cells = {}
-        ts.slots = {}
-        covers = {
-            page: self._cover_bits(ts.tenant, ts.epoch, page)
-            for page in self._host_pages
-        }
-        shard.chip.program_locations(
-            [(ts.block, page) for page in self._host_pages],
-            [covers[page] for page in self._host_pages],
+            if candidates
+            else []
         )
-        ts.cover_bits = covers
-        keep = self._host_pages[: len(live)]
-        ts.free_pages = list(self._host_pages[len(live):])
-        if live:
-            addresses = [
-                self.model.geometry.page_address(ts.block, page)
-                for page in keep
-            ]
-            coded = shard.vthi.codec.encode_pages_keyed(
-                [ts.key] * len(live), addresses, payloads
-            )
-            items = []
-            for page, bits in zip(keep, coded):
-                cells = self._selection(ts, page)
-                items.append((ts.block, page, cells[bits == 0]))
-            shard.vthi.embed_prepared(items)
-            for (lba, entry), page in zip(live, keep):
-                ts.slots[lba] = (page, entry[1], entry[2])
+        live = []
+        for (ts, lba, entry), blob in zip(candidates, blobs):
+            if blob is None:
+                # Uncorrectable slot: the data is gone.  Dropping it
+                # (subsequent reads see not_found) keeps the fleet
+                # serving; the decode result — and hence the loss — is
+                # identical under both schedulers.
+                _OBS_LOST_SLOTS.inc()
+                continue
+            live.append((ts, lba, entry, blob))
+        for ts, _ in jobs:
+            shard.chip.erase_block(ts.block)
+            ts.epoch += 1
+            ts.cover_bits = {
+                page: self._cover_bits(ts.tenant, ts.epoch, page)
+                for page in self._host_pages
+            }
+            ts.cells = {}
+            ts.slots = {}
+            ts.free_pages = list(self._host_pages)
+        shard.chip.program_locations(
+            [(ts.block, page) for ts, _ in jobs for page in self._host_pages],
+            [
+                ts.cover_bits[page]
+                for ts, _ in jobs
+                for page in self._host_pages
+            ],
+        )
+        targets = []
+        for ts, lba, entry, blob in live:
+            page = ts.free_pages.pop(0)
+            ts.slots[lba] = (page, entry[1], entry[2])
+            targets.append((ts, page, blob))
+        if targets:
+            self._embed_blobs(shard, targets)
 
     # ------------------------------------------------------------------
     # observability

@@ -69,9 +69,14 @@ from .wire import (
 )
 
 #: Posted (unacknowledged) operations in flight before a forced drain.
-#: Ack responses are 8 bytes, so the server can never block writing
-#: this many — which is what keeps pipelined writes deadlock-free.
-MAX_OUTSTANDING = 512
+#: The server answers each posted frame with an 8-byte ack that the
+#: client reads only at the next drain, so the acks of every outstanding
+#: op must fit in the server's socket send buffer, or the server blocks
+#: writing an ack while the client blocks writing the next frame.  Small
+#: as the acks are, AF_UNIX charges each send its full skb truesize: on
+#: Linux's default 212,992-byte buffer fewer than 300 of them fit.  The
+#: bound sits well below that count (a regression test measures it).
+MAX_OUTSTANDING = 128
 
 
 class RemoteChip:

@@ -166,7 +166,9 @@ class ChipServer:
                 byte = self.status.to_byte()
             else:
                 byte = self.status.to_byte() | STATUS_FAIL
-            return byte, encode_error(exc), True
+            # A SHUTDOWN ends the connection even when its frame is
+            # malformed: the host has asked to hang up either way.
+            return byte, encode_error(exc), op is not Op.SHUTDOWN
         if status_byte is None:
             if rolls:
                 self.status = self.status.rolled(failed=False)

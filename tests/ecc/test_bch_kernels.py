@@ -2,6 +2,7 @@
 
 `test_bch_batch.py` pins the end-to-end ``decode_many`` contract; this
 module aims lower, at the kernels the dirty path is made of —
+``_parity_syndromes`` against ``_syndromes``,
 ``_berlekamp_massey_batch`` against ``_berlekamp_massey`` and
 ``_chien_batch`` against ``_chien_search`` — plus the bookkeeping that
 stitches them back into per-word results (``error_positions``,
@@ -17,6 +18,9 @@ from repro.ecc.bch import get_code
 
 #: (m, t) pairs small enough that hypothesis can sweep them repeatedly.
 SMALL_PARAMS = [(4, 1), (4, 2), (5, 1), (5, 3), (6, 2), (7, 5)]
+
+#: The small sets plus the drive fleet's hidden-slot codec.
+KERNEL_PARAMS = SMALL_PARAMS + [(10, 30)]
 
 
 def _corrupted_batch(code, rng, n_words, weights=None):
@@ -38,6 +42,115 @@ def _corrupted_batch(code, rng, n_words, weights=None):
         words.append(bad)
         cleans.append(clean)
     return words, cleans
+
+
+def _weighted_words(code, rng, weights):
+    """One corrupted word per weight, each at a random shortened length
+    (weights beyond the word length saturate)."""
+    words = []
+    for weight in weights:
+        word_len = int(rng.integers(code.n_parity + 1, code.n + 1))
+        word = code.encode(
+            rng.integers(0, 2, word_len - code.n_parity).astype(np.uint8)
+        )
+        flips = rng.choice(word_len, size=min(weight, word_len), replace=False)
+        word[flips] ^= 1
+        words.append(word)
+    return words
+
+
+def _massey_discrepancies(code, syndromes):
+    """The scalar Berlekamp-Massey loop, returning its locator and the
+    discrepancy of every step (a transcription of ``_berlekamp_massey``
+    that also records what it computes)."""
+    field = code.field
+    sigma, prev_sigma = [1], [1]
+    prev_discrepancy, m_gap, length = 1, 1, 0
+    discrepancies = []
+    for i, syndrome in enumerate(syndromes):
+        discrepancy = syndrome
+        for j in range(1, length + 1):
+            if j < len(sigma) and sigma[j]:
+                discrepancy ^= field.mul(sigma[j], syndromes[i - j])
+        discrepancies.append(discrepancy)
+        if discrepancy == 0:
+            m_gap += 1
+            continue
+        scale = field.div(discrepancy, prev_discrepancy)
+        adjustment = [0] * m_gap + [field.mul(scale, c) for c in prev_sigma]
+        new_sigma = list(sigma) + [0] * max(0, len(adjustment) - len(sigma))
+        for j, coeff in enumerate(adjustment):
+            new_sigma[j] ^= coeff
+        if 2 * length <= i:
+            prev_sigma, prev_discrepancy = sigma, discrepancy
+            length, m_gap = i + 1 - length, 1
+        else:
+            m_gap += 1
+        sigma = new_sigma
+    while len(sigma) > 1 and sigma[-1] == 0:
+        sigma.pop()
+    return sigma, discrepancies
+
+
+class TestParitySyndromes:
+    @pytest.mark.parametrize("params", KERNEL_PARAMS)
+    def test_match_scalar_syndromes(self, params):
+        """The parity-column GEMM (odd syndromes) plus squaring (even
+        ones) equals the scalar syndromes of the received word, across
+        shortened lengths and error weights 0..t+1 — clean words give
+        all-zero difference rows and all-zero syndromes."""
+        code = get_code(*params)
+        rng = np.random.default_rng(params[0] * 100 + params[1])
+        for _ in range(4):
+            word_len = int(rng.integers(code.n_parity + 1, code.n + 1))
+            data_len = word_len - code.n_parity
+            words = []
+            for weight in [0, 0, 1, code.t, code.t + 1, 2 * code.t + 3]:
+                word = code.encode(
+                    rng.integers(0, 2, data_len).astype(np.uint8)
+                )
+                flips = rng.choice(
+                    word_len, size=min(weight, word_len), replace=False
+                )
+                word[flips] ^= 1
+                words.append(word)
+            stacked = np.stack(words)
+            diff = stacked[:, data_len:] ^ code._parity_batch(
+                stacked[:, :data_len]
+            )
+            assert not diff[:2].any()
+            got = code._parity_syndromes(diff)
+            assert got.dtype == np.int64
+            for row, word in zip(got, words):
+                assert row.tolist() == code._syndromes(
+                    word, code.n - word_len
+                )
+
+
+class TestBinaryBerlekampMassey:
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_real_syndromes_skip_only_zero_steps(self, data):
+        """On syndromes of received words with 0..2t+10 errors the
+        batch BM (which skips the odd steps) equals the scalar loop,
+        and every odd-step discrepancy of the scalar loop is zero."""
+        m, t = data.draw(st.sampled_from(KERNEL_PARAMS))
+        code = get_code(m, t)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+        weights = [int(w) for w in rng.integers(0, 2 * t + 11, 6)]
+        syndromes = [
+            code._syndromes(word, code.n - word.size)
+            for word in _weighted_words(code, rng, weights)
+        ]
+        batch = code._berlekamp_massey_batch(
+            np.array(syndromes, dtype=np.int64)
+        )
+        for row, syndrome_row in zip(batch, syndromes):
+            scalar = code._berlekamp_massey(syndrome_row)
+            traced, discrepancies = _massey_discrepancies(code, syndrome_row)
+            assert traced == scalar
+            assert discrepancies[1::2] == [0] * t
+            assert row.tolist() == scalar + [0] * (row.size - len(scalar))
 
 
 class TestBerlekampMasseyBatch:
@@ -134,6 +247,41 @@ class TestChienBatch:
         root_rows, root_cols = code._chien_batch(sigma, 0, code.n)
         assert root_rows.size == 0
         assert root_cols.size == 0
+
+
+class TestDecodeManyMatchesDecode:
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_every_slot_matches_scalar(self, data):
+        """``decode_many(on_error="return")`` equals per-word ``decode``
+        for 0..2t+10 errors over mixed shortened lengths: data, codeword,
+        error positions, corrected count, and for words beyond t the
+        error message and ``batch_index``."""
+        m, t = data.draw(st.sampled_from(KERNEL_PARAMS))
+        code = get_code(m, t)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+        weights = [int(w) for w in rng.integers(0, 2 * t + 11, 8)]
+        words = _weighted_words(code, rng, weights)
+        batch = code.decode_many(words, on_error="return")
+        for index, word in enumerate(words):
+            try:
+                scalar = code.decode(word)
+            except EccError as error:
+                scalar = error
+            result = batch[index]
+            if isinstance(scalar, EccError):
+                assert isinstance(result, EccError)
+                assert str(result) == str(scalar)
+                assert result.batch_index == index
+            else:
+                assert not isinstance(result, EccError)
+                assert np.array_equal(result.data, scalar.data)
+                assert np.array_equal(result.codeword, scalar.codeword)
+                assert result.corrected_errors == scalar.corrected_errors
+                assert np.array_equal(
+                    np.asarray(result.error_positions),
+                    np.asarray(scalar.error_positions),
+                )
 
 
 class TestMixedBatchBookkeeping:

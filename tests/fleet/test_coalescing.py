@@ -9,10 +9,12 @@ are compared down to raw block voltages.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fleet import (
+    FLEET_HIDING,
     CoalescingScheduler,
     FleetConfig,
     FleetService,
@@ -30,12 +32,14 @@ def run_workload(
     n_shards=2,
     fleet_seed=9,
     max_round_requests=None,
+    hiding=FLEET_HIDING,
 ):
     service = FleetService(FleetConfig(
         tenants=workload.tenants,
         n_shards=n_shards,
         seed=fleet_seed,
         max_round_requests=max_round_requests,
+        hiding=hiding,
     ))
     for request in generate_requests(workload):
         assert service.submit(request)
@@ -135,6 +139,115 @@ class TestSchedulerEquivalence:
             return view[:6]  # drop pp_steps
 
         assert [strip(v) for v in out_a] == [strip(v) for v in out_b]
+
+
+def fleet_counter(service, name):
+    return service.aggregator.totals().counters.get(name, 0)
+
+
+def spy_rebuild_batches(service):
+    """Record the job count of every rebuild batch the service runs."""
+    sizes = []
+    rebuild = service._rebuild
+
+    def spy(shard, jobs):
+        if jobs:
+            sizes.append(len(jobs))
+        return rebuild(shard, jobs)
+
+    service._rebuild = spy
+    return sizes
+
+
+def assert_rebuild_equivalence(workload, hiding=FLEET_HIDING):
+    """Naive vs coalesced on a rebuild-heavy workload: responses, chips,
+    op counts and rebuild/loss counters all equal; returns the coalesced
+    service's (rebuilds, lost slots, rebuild batch sizes)."""
+    runs = {}
+    for name, scheduler in (
+        ("naive", NaiveScheduler()), ("coalesced", CoalescingScheduler()),
+    ):
+        service = FleetService(FleetConfig(
+            tenants=workload.tenants, n_shards=2, seed=9, hiding=hiding,
+        ))
+        # Two host pages per tenant: every third write to a full block
+        # rebuilds it.
+        assert len(service._host_pages) == 2
+        sizes = spy_rebuild_batches(service)
+        for request in generate_requests(workload):
+            assert service.submit(request)
+        responses = service.drain(scheduler)
+        runs[name] = (
+            service,
+            sorted(r.deterministic_view() for r in responses),
+            sizes,
+        )
+    (naive, out_naive, naive_sizes), (coal, out_coal, coal_sizes) = (
+        runs["naive"], runs["coalesced"],
+    )
+    assert out_naive == out_coal
+    assert_chips_identical(naive, coal)
+    assert int_counters(naive) == int_counters(coal)
+    totals_naive = naive.fleet_snapshot().op_counters
+    totals_coal = coal.fleet_snapshot().op_counters
+    assert totals_naive.busy_time_s == pytest.approx(
+        totals_coal.busy_time_s, rel=1e-12
+    )
+    assert totals_naive.energy_j == pytest.approx(
+        totals_coal.energy_j, rel=1e-12
+    )
+    for name in ("fleet.rebuilds", "fleet.lost_slots"):
+        assert fleet_counter(naive, name) == fleet_counter(coal, name)
+    # The naive scheduler hands execute_round one request at a time.
+    assert set(naive_sizes) <= {1}
+    return (
+        fleet_counter(coal, "fleet.rebuilds"),
+        fleet_counter(coal, "fleet.lost_slots"),
+        coal_sizes,
+    )
+
+
+class TestSameRoundRebuilds:
+    @settings(**SETTINGS)
+    @given(
+        seed=st.integers(0, 2**16),
+        tenants=st.integers(4, 10),
+        ops=st.integers(4, 6),
+        lba_space=st.integers(1, 2),
+    )
+    def test_batched_rebuilds_bit_identical(
+        self, seed, tenants, ops, lba_space
+    ):
+        workload = WorkloadConfig(
+            tenants=tenants, ops_per_tenant=ops, seed=seed,
+            lba_space=lba_space, mix=(0.85, 0.15, 0.0),
+        )
+        rebuilds, _, _ = assert_rebuild_equivalence(workload)
+        assert rebuilds > 0
+
+    def test_several_tenants_rebuild_in_one_shard_round(self):
+        workload = WorkloadConfig(
+            tenants=8, ops_per_tenant=5, seed=4, lba_space=2,
+            mix=(1.0, 0.0, 0.0),
+        )
+        rebuilds, _, sizes = assert_rebuild_equivalence(workload)
+        assert rebuilds == sum(sizes)
+        assert max(sizes) > 1
+
+    def test_uncorrectable_rebuild_reads_drop_identically(self):
+        # A deliberately feeble code (t=2 against a ~6-error/page raw
+        # BER): rebuild read-back decodes fail and their slots are lost,
+        # the same ones under both schedulers.
+        workload = WorkloadConfig(
+            tenants=6, ops_per_tenant=5, seed=2, lba_space=2,
+            mix=(1.0, 0.0, 0.0),
+        )
+        rebuilds, lost, sizes = assert_rebuild_equivalence(
+            workload, hiding=FLEET_HIDING.replace(ecc_t=2)
+        )
+        assert rebuilds > 0
+        assert lost > 0
+        assert max(sizes) > 1
 
 
 class TestReplayDeterminism:
