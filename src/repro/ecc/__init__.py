@@ -1,11 +1,10 @@
-"""Error-correcting codes: BCH, repetition, interleaving, XOR parity."""
+"""Error-correcting codes: BCH, interleaving, XOR parity."""
 
 from .bch import BchCode, DecodeResult, EccError
 from .gf import GF2m, PRIMITIVE_POLYS
 from .interleave import deinterleave, interleave
 from .overhead import EccPlan, binomial_tail, plan_for_budget, required_t
 from .parity import ParityGroup
-from .repetition import RepetitionCode
 
 __all__ = [
     "BchCode",
@@ -15,7 +14,6 @@ __all__ = [
     "GF2m",
     "PRIMITIVE_POLYS",
     "ParityGroup",
-    "RepetitionCode",
     "binomial_tail",
     "deinterleave",
     "interleave",

@@ -60,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="RULE",
         help="only run these rules: exact codes (DET001), family "
-        "prefixes (WIRE), or comma-joined lists (WIRE,CONC,DET003); "
+        "prefixes (CONC), or comma-joined lists (CONC,DET003); "
         "repeatable",
     )
     parser.add_argument(

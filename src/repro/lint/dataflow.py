@@ -123,7 +123,7 @@ MUTATOR_METHODS = frozenset(
 
 #: Call names whose arguments become wire bytes: anything tainted that
 #: reaches one of these crosses the socket and lands in another process.
-_WIRE_SINK_NAMES = frozenset({"write_frame", "pack_frame", "_call", "_post"})
+_WIRE_SINK_NAMES = frozenset({"write_frame", "_call", "_post"})
 
 
 def in_scope_package(modname: str) -> bool:

@@ -257,8 +257,8 @@ def expand_select(
     """Expand ``--select`` items into concrete rule codes.
 
     An item may be an exact code (``DET001``), a rule family prefix
-    (``WIRE`` selects WIRE001–WIRE005), or a comma-joined list of
-    either (``WIRE,CONC,DET003``).  An item matching neither raises
+    (``CONC`` selects CONC001–CONC002), or a comma-joined list of
+    either (``CONC,DET003``).  An item matching neither raises
     ``ValueError`` so typos fail the run instead of silently selecting
     nothing.
     """

@@ -28,19 +28,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import struct
 from typing import Any, Dict, List
 
+from ..cursor import Reader, Writer
 from .metrics import HistStats, ObsSnapshot, ProfileEntry
 from .trace import SpanRecord
 
 #: Format version; bump on any layout change.
 OBS_WIRE_VERSION = 1
-
-_U8 = struct.Struct("<B")
-_U32 = struct.Struct("<I")
-_I64 = struct.Struct("<q")
-_F64 = struct.Struct("<d")
 
 #: ``OpCounters`` field kind tags.
 _KIND_I64 = 0
@@ -51,81 +46,21 @@ _KIND_F64 = 1
 _MAX_ITEMS = 1 << 24
 
 
-class _Writer:
-    """Accumulates encoded chunks (join once at the end)."""
-
-    __slots__ = ("_chunks",)
-
-    def __init__(self) -> None:
-        self._chunks: List[bytes] = []
-
-    def u8(self, value: int) -> None:
-        self._chunks.append(_U8.pack(value))
-
-    def u32(self, value: int) -> None:
-        self._chunks.append(_U32.pack(value))
-
-    def i64(self, value: int) -> None:
-        self._chunks.append(_I64.pack(value))
-
-    def f64(self, value: float) -> None:
-        self._chunks.append(_F64.pack(value))
-
-    def str_(self, value: str) -> None:
-        raw = value.encode("utf-8")
-        self.u32(len(raw))
-        self._chunks.append(raw)
-
-    def getvalue(self) -> bytes:
-        return b"".join(self._chunks)
+def _put_str(w: Writer, value: str) -> None:
+    raw = value.encode("utf-8")
+    w.u32(len(raw))
+    w.raw(raw)
 
 
-class _Reader:
-    """Sequential decoder over one payload; every read bounds-checks."""
+def _count(r: Reader) -> int:
+    value = r.u32()
+    if value > _MAX_ITEMS:
+        raise ValueError(f"obs wire count {value} exceeds sanity bound")
+    return value
 
-    __slots__ = ("_view", "_pos")
 
-    def __init__(self, payload: bytes) -> None:
-        self._view = memoryview(payload)
-        self._pos = 0
-
-    def _take(self, size: int) -> memoryview:
-        end = self._pos + size
-        if end > len(self._view):
-            raise ValueError("obs wire payload truncated")
-        chunk = self._view[self._pos:end]
-        self._pos = end
-        return chunk
-
-    def u8(self) -> int:
-        return int(_U8.unpack(self._take(1))[0])
-
-    def u32(self) -> int:
-        return int(_U32.unpack(self._take(4))[0])
-
-    def i64(self) -> int:
-        return int(_I64.unpack(self._take(8))[0])
-
-    def f64(self) -> float:
-        return float(_F64.unpack(self._take(8))[0])
-
-    def count(self) -> int:
-        value = self.u32()
-        if value > _MAX_ITEMS:
-            raise ValueError(f"obs wire count {value} exceeds sanity bound")
-        return value
-
-    def str_(self) -> str:
-        size = self.count()
-        try:
-            return str(self._take(size), "utf-8")
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"obs wire string not UTF-8: {exc}") from exc
-
-    def expect_end(self) -> None:
-        if self._pos != len(self._view):
-            extra = len(self._view) - self._pos
-            raise ValueError(f"obs wire payload has {extra} trailing bytes")
+def _str(r: Reader) -> str:
+    return r.utf8(_count(r))
 
 
 # ----------------------------------------------------------------------
@@ -134,14 +69,14 @@ class _Reader:
 
 def encode_snapshot(snapshot: ObsSnapshot) -> bytes:
     """Serialise a snapshot to the versioned binary wire format."""
-    w = _Writer()
+    w = Writer()
     w.u8(OBS_WIRE_VERSION)
     _encode_scalar_map(w, snapshot.counters)
     _encode_scalar_map(w, snapshot.gauges)
     w.u32(len(snapshot.histograms))
     for name in snapshot.histograms:
         hist = snapshot.histograms[name]
-        w.str_(name)
+        _put_str(w, name)
         w.i64(hist.count)
         w.f64(hist.total)
         w.f64(hist.min)
@@ -150,7 +85,7 @@ def encode_snapshot(snapshot: ObsSnapshot) -> bytes:
     w.u32(len(snapshot.profile))
     for name in snapshot.profile:
         entry = snapshot.profile[name]
-        w.str_(name)
+        _put_str(w, name)
         w.i64(entry.count)
         w.f64(entry.total_s)
         w.f64(entry.self_s)
@@ -163,14 +98,14 @@ def encode_snapshot(snapshot: ObsSnapshot) -> bytes:
     return w.getvalue()
 
 
-def _encode_scalar_map(w: _Writer, values: Dict[str, float]) -> None:
+def _encode_scalar_map(w: Writer, values: Dict[str, float]) -> None:
     w.u32(len(values))
     for name in values:
-        w.str_(name)
+        _put_str(w, name)
         w.f64(values[name])
 
 
-def _encode_op_counters(w: _Writer, ops: Any) -> None:
+def _encode_op_counters(w: Writer, ops: Any) -> None:
     if ops is None:
         w.u8(0)
         return
@@ -179,7 +114,7 @@ def _encode_op_counters(w: _Writer, ops: Any) -> None:
     w.u32(len(fields))
     for spec in fields:
         value = getattr(ops, spec.name)
-        w.str_(spec.name)
+        _put_str(w, spec.name)
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(
                 f"op counter field {spec.name!r} is not numeric: {value!r}"
@@ -192,8 +127,8 @@ def _encode_op_counters(w: _Writer, ops: Any) -> None:
             w.f64(value)
 
 
-def _encode_span(w: _Writer, span: SpanRecord) -> None:
-    w.str_(span.name)
+def _encode_span(w: Writer, span: SpanRecord) -> None:
+    _put_str(w, span.name)
     w.f64(span.start_s)
     w.f64(span.duration_s)
     w.f64(span.self_s)
@@ -202,17 +137,17 @@ def _encode_span(w: _Writer, span: SpanRecord) -> None:
         w.u8(0)
     else:
         w.u8(1)
-        w.str_(span.parent)
-    w.str_(span.proc)
+        _put_str(w, span.parent)
+    _put_str(w, span.proc)
     try:
-        w.str_(json.dumps(span.attrs, sort_keys=True))
+        _put_str(w, json.dumps(span.attrs, sort_keys=True))
     except (TypeError, ValueError) as exc:
         raise ValueError(f"span attrs not JSON-able: {exc}") from exc
     if span.error is None:
         w.u8(0)
     else:
         w.u8(1)
-        w.str_(span.error)
+        _put_str(w, span.error)
 
 
 # ----------------------------------------------------------------------
@@ -221,7 +156,7 @@ def _encode_span(w: _Writer, span: SpanRecord) -> None:
 
 def decode_snapshot(payload: bytes) -> ObsSnapshot:
     """Decode :func:`encode_snapshot` output; :class:`ValueError` on junk."""
-    r = _Reader(payload)
+    r = Reader(payload)
     version = r.u8()
     if version != OBS_WIRE_VERSION:
         raise ValueError(
@@ -231,15 +166,15 @@ def decode_snapshot(payload: bytes) -> ObsSnapshot:
     counters = _decode_scalar_map(r)
     gauges = _decode_scalar_map(r)
     histograms: Dict[str, HistStats] = {}
-    for _ in range(r.count()):
-        name = r.str_()
+    for _ in range(_count(r)):
+        name = _str(r)
         histograms[name] = HistStats(
             count=r.i64(), total=r.f64(), min=r.f64(), max=r.f64()
         )
     op_counters = _decode_op_counters(r)
     profile: Dict[str, ProfileEntry] = {}
-    for _ in range(r.count()):
-        name = r.str_()
+    for _ in range(_count(r)):
+        name = _str(r)
         profile[name] = ProfileEntry(
             count=r.i64(),
             total_s=r.f64(),
@@ -247,9 +182,9 @@ def decode_snapshot(payload: bytes) -> ObsSnapshot:
             min_s=r.f64(),
             max_s=r.f64(),
         )
-    spans: List[Any] = [_decode_span(r) for _ in range(r.count())]
+    spans: List[Any] = [_decode_span(r) for _ in range(_count(r))]
     wall_s = r.f64()
-    r.expect_end()
+    r.end()
     return ObsSnapshot(
         counters=counters,
         gauges=gauges,
@@ -261,11 +196,11 @@ def decode_snapshot(payload: bytes) -> ObsSnapshot:
     )
 
 
-def _decode_scalar_map(r: _Reader) -> Dict[str, float]:
-    return {r.str_(): r.f64() for _ in range(r.count())}
+def _decode_scalar_map(r: Reader) -> Dict[str, float]:
+    return {_str(r): r.f64() for _ in range(_count(r))}
 
 
-def _decode_op_counters(r: _Reader) -> Any:
+def _decode_op_counters(r: Reader) -> Any:
     if r.u8() == 0:
         return None
     # Imported lazily: repro.nand imports repro.obs for its handles, so a
@@ -274,8 +209,8 @@ def _decode_op_counters(r: _Reader) -> Any:
 
     expected = {spec.name for spec in dataclasses.fields(OpCounters)}
     values: Dict[str, Any] = {}
-    for _ in range(r.count()):
-        name = r.str_()
+    for _ in range(_count(r)):
+        name = _str(r)
         kind = r.u8()
         if kind == _KIND_I64:
             values[name] = r.i64()
@@ -291,21 +226,21 @@ def _decode_op_counters(r: _Reader) -> Any:
     return OpCounters(**values)
 
 
-def _decode_span(r: _Reader) -> SpanRecord:
-    name = r.str_()
+def _decode_span(r: Reader) -> SpanRecord:
+    name = _str(r)
     start_s = r.f64()
     duration_s = r.f64()
     self_s = r.f64()
     depth = r.i64()
-    parent = r.str_() if r.u8() else None
-    proc = r.str_()
+    parent = _str(r) if r.u8() else None
+    proc = _str(r)
     try:
-        attrs = json.loads(r.str_())
+        attrs = json.loads(_str(r))
     except json.JSONDecodeError as exc:
         raise ValueError(f"span attrs not valid JSON: {exc}") from exc
     if not isinstance(attrs, dict):
         raise ValueError("span attrs must decode to an object")
-    error = r.str_() if r.u8() else None
+    error = _str(r) if r.u8() else None
     return SpanRecord(
         name=name,
         start_s=start_s,

@@ -6,8 +6,8 @@ serves the binary frame protocol of :mod:`repro.onfi.wire`; a
 :class:`RemoteChip` client exposes the same batch API as the in-process
 chip — bit-identically — over a socket, socketpair or pipe, so the
 fleet and hiding layers run unchanged against remote silicon.  See
-DESIGN.md §13 for the frame layout, opcodes, status-byte semantics and
-pipelining rules.
+DESIGN.md §13 for the frame layout, the opcode table, status-byte
+semantics and pipelining rules.
 """
 
 from .client import MAX_OUTSTANDING, RemoteChip
@@ -30,14 +30,16 @@ from .wire import (
     HELLO_TRACE,
     MAX_PAYLOAD,
     MIN_LENGTH,
+    Field,
     FrameReader,
     Op,
     decode_error,
+    decode_request,
+    decode_response,
     encode_error,
+    encode_request,
+    encode_response,
     error_kind,
-    pack_frame,
-    pack_trace_parent,
-    take_trace_parent,
     write_frame,
 )
 
@@ -47,6 +49,7 @@ __all__ = [
     "FLAG_PARTIAL",
     "FLAG_THRESHOLD",
     "FLAG_TRACE",
+    "Field",
     "FrameReader",
     "HELLO_FLAGS_MASK",
     "HELLO_OBS",
@@ -59,14 +62,15 @@ __all__ = [
     "RemoteChip",
     "ServerHandle",
     "decode_error",
+    "decode_request",
+    "decode_response",
     "encode_error",
+    "encode_request",
+    "encode_response",
     "error_kind",
-    "pack_frame",
-    "pack_trace_parent",
     "serve_listener",
     "serve_socket",
     "serve_stream",
     "spawn_chip_server",
-    "take_trace_parent",
     "write_frame",
 ]

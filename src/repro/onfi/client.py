@@ -13,8 +13,9 @@ Two properties make the transport cheap and exact:
   frame each way, with ndarray payloads shipped as raw bytes (no
   pickling, no per-page round trips), so framing cost amortises over
   the batch.
-* **Pipelining** — acknowledgement-only operations (programs, erases,
-  partial programs, threshold sets) are posted without waiting;
+* **Pipelining** — every op whose table row has an empty response
+  (programs, erases, partial programs, threshold sets, resets) is
+  posted without waiting;
   responses are matched by echoed tags at the next synchronising call.
   The server executes frames strictly in order, so pipelined and
   synchronous issue orders produce identical chip states.  A posted
@@ -48,24 +49,14 @@ from ..obs.trace import current_span_name
 from ..obs.wirefmt import decode_snapshot
 from .wire import (
     FLAG_PARTIAL,
-    FLAG_THRESHOLD,
-    FLAG_TRACE,
     HELLO_FLAGS_MASK,
     HELLO_TRACE,
     FrameReader,
     Op,
     decode_error,
-    pack_f64,
-    pack_trace_parent,
+    decode_response,
+    encode_request,
     write_frame,
-    pack_i64,
-    pack_i64_array,
-    pack_locations,
-    pack_u8_array,
-    take_f64,
-    take_i64,
-    take_u64,
-    take_u8_matrix,
 )
 
 #: Posted (unacknowledged) operations in flight before a forced drain.
@@ -153,53 +144,52 @@ class RemoteChip:
             self._deferred = []
             raise error
 
-    def _wrap_trace(self, flags: int, payload: bytes) -> Tuple[int, bytes]:
-        """Prefix the frame with the current span name, when negotiated.
+    def _trace_parent(self) -> Optional[str]:
+        """The span a request frame names as its server spans' parent.
 
-        Zero bytes and zero branches beyond one flag check when
-        observability is disabled or the server lacks HELLO_TRACE — the
-        wire image of a disabled-obs run is byte-identical to one
-        without this feature.
+        Only when the server accepted HELLO_TRACE and observability is
+        enabled — otherwise frames carry zero trace bytes, so the wire
+        image of a disabled-obs run is byte-identical to one without
+        tracing.
         """
         if self.server_flags & HELLO_TRACE and _obs_enabled():
-            parent = current_span_name()
-            if parent is not None:
-                return flags | FLAG_TRACE, pack_trace_parent(parent) + payload
-        return flags, payload
+            return current_span_name()
+        return None
 
-    def _post(self, op: Op, flags: int = 0, payload: bytes = b"") -> None:
-        """Issue an ack-only operation, pipelined when enabled."""
+    def _send(self, op: Op, args: Tuple, flags: int) -> int:
+        """Encode and write one request frame; returns its tag."""
+        flags, chunks = encode_request(op, args, flags, self._trace_parent())
+        tag = self._next_tag()
+        self.sent_ops[int(op)] = self.sent_ops.get(int(op), 0) + 1
+        write_frame(self._wfile, int(op), flags, tag, chunks)
+        return tag
+
+    def _post(self, op: Op, *args, flags: int = 0) -> None:
+        """Issue an op with an empty response, pipelined when enabled."""
         if not self.pipeline:
-            self._call(op, flags, payload)
+            self._call(op, *args, flags=flags)
             return
         if len(self._outstanding) >= MAX_OUTSTANDING:
             self.drain()
-        flags, payload = self._wrap_trace(flags, payload)
-        tag = self._next_tag()
-        self.sent_ops[int(op)] = self.sent_ops.get(int(op), 0) + 1
-        write_frame(self._wfile, int(op), flags, tag, payload)
-        self._outstanding.append((tag, op))
+        self._outstanding.append((self._send(op, args, flags), op))
 
-    def _call(self, op: Op, flags: int = 0, payload: bytes = b""):
-        """Issue an operation and wait for its response (a sync point).
+    def _call(self, op: Op, *args, flags: int = 0) -> Tuple:
+        """Issue an op and wait for its decoded response (a sync point).
 
         Flushes the pipeline first; failures of earlier posted
         operations take precedence over this call's own outcome.
         """
-        flags, payload = self._wrap_trace(flags, payload)
-        tag = self._next_tag()
-        self.sent_ops[int(op)] = self.sent_ops.get(int(op), 0) + 1
-        write_frame(self._wfile, int(op), flags, tag, payload)
+        tag = self._send(op, args, flags)
         self._wfile.flush()
         self._drain_acks()
-        status, response = self._read_matching(tag, op)
+        status, payload = self._read_matching(tag, op)
         error: Optional[Exception] = None
         if status.failed:
-            error = decode_error(bytes(response))
+            error = decode_error(bytes(payload))
         self._raise_deferred()
         if error is not None:
             raise error
-        return status, response
+        return decode_response(op, payload, self.geometry.cells_per_page)
 
     def drain(self) -> None:
         """Synchronise: flush posted operations and surface any failure."""
@@ -209,28 +199,21 @@ class RemoteChip:
 
     def _hello(self) -> None:
         # Request every capability this client knows; the server answers
-        # the accepted subset as a trailing byte (absent on pre-obs
-        # servers, which is a clean "no capabilities").
-        _, payload = self._call(Op.HELLO, 0, bytes([HELLO_FLAGS_MASK]))
-        n_blocks, o = take_i64(payload, 0)
-        pages_per_block, o = take_i64(payload, o)
-        cells_per_page, o = take_i64(payload, o)
-        page_bytes, o = take_i64(payload, o)
-        self.seed, o = take_u64(payload, o)
-        self.clock, o = take_f64(payload, o)
-        if o < len(payload):
-            self.server_flags = payload[o] & HELLO_FLAGS_MASK
+        # the accepted subset.
+        *served, self.seed, self.clock, accepted = self._call(
+            Op.HELLO, HELLO_FLAGS_MASK
+        )
+        self.server_flags = accepted & HELLO_FLAGS_MASK
         geometry = self.geometry
-        served = (n_blocks, pages_per_block, cells_per_page, page_bytes)
         expected = (
             geometry.n_blocks,
             geometry.pages_per_block,
             geometry.cells_per_page,
             geometry.page_bytes,
         )
-        if served != expected:
+        if tuple(served) != expected:
             raise CommandError(
-                f"server chip geometry {served} does not match the "
+                f"server chip geometry {tuple(served)} does not match the "
                 f"client's {expected} "
                 f"(blocks, pages/block, cells/page, bytes/page)"
             )
@@ -242,9 +225,8 @@ class RemoteChip:
         self._closed = True
         try:
             if shutdown:
-                self._call(Op.SHUTDOWN)
-            else:
-                self.drain()
+                self._post(Op.SHUTDOWN)
+            self.drain()
         finally:
             for stream in (self._wfile, self._rfile):
                 try:
@@ -268,37 +250,21 @@ class RemoteChip:
     # ------------------------------------------------------------------
     # FlashChip surface — singles
 
-    @staticmethod
-    def _threshold_prefix(threshold: Optional[float]) -> Tuple[int, bytes]:
-        if threshold is None:
-            return 0, b""
-        return FLAG_THRESHOLD, pack_f64(float(threshold))
-
     def read_page(
         self, block: int, page: int, threshold: Optional[float] = None
     ) -> np.ndarray:
-        flags, prefix = self._threshold_prefix(threshold)
-        _, payload = self._call(
-            Op.READ, flags, prefix + pack_i64(block, page)
-        )
-        return take_u8_matrix(
-            payload, 0, 1, self.geometry.cells_per_page
-        )[0]
+        (bits,) = self._call(Op.READ, threshold, block, page)
+        return bits
 
     def probe_voltages(self, block: int, page: int) -> np.ndarray:
-        _, payload = self._call(Op.PROBE_VOLTAGES, 0, pack_i64(block, page))
-        return take_u8_matrix(
-            payload, 0, 1, self.geometry.cells_per_page
-        )[0]
+        (voltages,) = self._call(Op.PROBE_VOLTAGES, block, page)
+        return voltages
 
     def program_page(self, block: int, page: int, data) -> None:
-        bits = as_bits(self.geometry, data)
-        self._post(
-            Op.PROGRAM, 0, pack_i64(block, page) + pack_u8_array(bits)
-        )
+        self._post(Op.PROGRAM, block, page, as_bits(self.geometry, data))
 
     def erase_block(self, block: int) -> None:
-        self._post(Op.ERASE, 0, pack_i64(block))
+        self._post(Op.ERASE, block)
 
     def partial_program(
         self,
@@ -308,13 +274,8 @@ class RemoteChip:
         fraction: float = 1.0,
         precision: float = 1.0,
     ) -> None:
-        cell_array = np.asarray(cells, dtype=np.int64)
         self._post(
-            Op.PARTIAL_PROGRAM,
-            0,
-            pack_i64(block, page)
-            + pack_f64(float(fraction), float(precision))
-            + pack_i64_array(cell_array),
+            Op.PARTIAL_PROGRAM, block, page, fraction, precision, cells
         )
 
     def partial_program_via_reset(
@@ -326,21 +287,16 @@ class RemoteChip:
         exactly :meth:`repro.nand.onfi.OnfiBus.partial_program`.
         """
         bits = as_bits(self.geometry, data)
-        self._post(
-            Op.PROGRAM,
-            FLAG_PARTIAL,
-            pack_i64(block, page) + pack_u8_array(bits),
-        )
-        self._post(Op.RESET, 0, pack_f64(float(abort_after_us)))
+        self._post(Op.PROGRAM, block, page, bits, flags=FLAG_PARTIAL)
+        self._post(Op.RESET, abort_after_us)
 
     def set_read_threshold(self, level: Optional[float]) -> None:
         """Set the server-side read reference shift (bus state)."""
-        payload = b"" if level is None else pack_f64(float(level))
-        self._post(Op.SET_READ_THRESHOLD, 0, payload)
+        self._post(Op.SET_READ_THRESHOLD, level)
 
     def reset(self) -> None:
         """Plain RESET: clears volatile server state (threshold, SR)."""
-        self._post(Op.RESET)
+        self._post(Op.RESET, None)
 
     def read_status(self) -> Status:
         """READ_STATUS: the server's ONFI status register, decoded.
@@ -348,12 +304,8 @@ class RemoteChip:
         The register byte arrives in the payload — the response header's
         FAIL bit reports only whether the query frame itself failed.
         """
-        _, payload = self._call(Op.READ_STATUS)
-        if len(payload) != 1:
-            raise CommandError(
-                f"READ_STATUS answered {len(payload)} bytes, wanted 1"
-            )
-        return Status.from_byte(payload[0])
+        (byte,) = self._call(Op.READ_STATUS)
+        return Status.from_byte(byte)
 
     # ------------------------------------------------------------------
     # FlashChip surface — coalesced batches (one frame per call)
@@ -364,49 +316,23 @@ class RemoteChip:
         pages: Sequence[int],
         threshold: Optional[float] = None,
     ) -> np.ndarray:
-        page_array = check_pages(self.geometry, block, pages)
-        flags, prefix = self._threshold_prefix(threshold)
-        _, payload = self._call(
-            Op.READ_PAGES,
-            flags,
-            prefix + pack_i64(block) + pack_i64_array(page_array),
-        )
-        return take_u8_matrix(
-            payload, 0, len(page_array), self.geometry.cells_per_page
-        )
+        pages = check_pages(self.geometry, block, pages)
+        (bits,) = self._call(Op.READ_PAGES, threshold, block, pages)
+        return bits
 
     def probe_voltages_batch(
         self, block: int, pages: Sequence[int]
     ) -> np.ndarray:
-        page_array = check_pages(self.geometry, block, pages)
-        _, payload = self._call(
-            Op.PROBE_PAGES,
-            0,
-            pack_i64(block) + pack_i64_array(page_array),
-        )
-        return take_u8_matrix(
-            payload, 0, len(page_array), self.geometry.cells_per_page
-        )
+        pages = check_pages(self.geometry, block, pages)
+        (voltages,) = self._call(Op.PROBE_PAGES, block, pages)
+        return voltages
 
     def program_pages(
         self, block: int, pages: Sequence[int], data: Iterable
     ) -> None:
-        page_array = check_pages(self.geometry, block, pages)
-        payloads = list(data)
-        if len(payloads) != len(page_array):
-            raise ProgramError(
-                f"got {len(payloads)} payloads for {len(page_array)} pages"
-            )
-        bits = np.stack(
-            [as_bits(self.geometry, payload) for payload in payloads]
-        )
-        self._post(
-            Op.PROGRAM_PAGES,
-            0,
-            pack_i64(block, len(page_array))
-            + pack_i64_array(page_array)
-            + pack_u8_array(bits),
-        )
+        pages = check_pages(self.geometry, block, pages)
+        bits = self._stack_bits(data, len(pages), "pages")
+        self._post(Op.PROGRAM_PAGES, block, pages, bits)
 
     def read_locations(
         self,
@@ -414,53 +340,39 @@ class RemoteChip:
         threshold: Optional[float] = None,
     ) -> np.ndarray:
         pairs = check_locations(self.geometry, locations)
-        flags, prefix = self._threshold_prefix(threshold)
-        _, payload = self._call(
-            Op.READ_LOCATIONS, flags, prefix + pack_locations(pairs)
-        )
-        return take_u8_matrix(
-            payload, 0, len(pairs), self.geometry.cells_per_page
-        )
+        (bits,) = self._call(Op.READ_LOCATIONS, threshold, pairs)
+        return bits
 
     def probe_voltages_locations(
         self, locations: Sequence[Tuple[int, int]]
     ) -> np.ndarray:
         pairs = check_locations(self.geometry, locations)
-        _, payload = self._call(
-            Op.PROBE_LOCATIONS, 0, pack_locations(pairs)
-        )
-        return take_u8_matrix(
-            payload, 0, len(pairs), self.geometry.cells_per_page
-        )
+        (voltages,) = self._call(Op.PROBE_LOCATIONS, pairs)
+        return voltages
 
     def program_locations(
         self, locations: Sequence[Tuple[int, int]], data: Iterable
     ) -> None:
         pairs = check_locations(self.geometry, locations)
+        bits = self._stack_bits(data, len(pairs), "locations")
+        self._post(Op.PROGRAM_LOCATIONS, pairs, bits)
+
+    def _stack_bits(self, data: Iterable, count: int, noun: str) -> np.ndarray:
+        """Canonicalise one payload per target page into a bit matrix."""
         payloads = list(data)
-        if len(payloads) != len(pairs):
+        if len(payloads) != count:
             raise ProgramError(
-                f"got {len(payloads)} payloads for {len(pairs)} locations"
+                f"got {len(payloads)} payloads for {count} {noun}"
             )
-        bits = np.stack(
+        return np.stack(
             [as_bits(self.geometry, payload) for payload in payloads]
-        )
-        self._post(
-            Op.PROGRAM_LOCATIONS,
-            0,
-            pack_i64(len(pairs))
-            + pack_locations(pairs)
-            + pack_u8_array(bits),
         )
 
     # ------------------------------------------------------------------
     # FlashChip surface — clock, counters, queries
 
     def advance_time(self, seconds: float) -> None:
-        _, payload = self._call(
-            Op.ADVANCE_TIME, 0, pack_f64(float(seconds))
-        )
-        self.clock, _ = take_f64(payload, 0)
+        (self.clock,) = self._call(Op.ADVANCE_TIME, seconds)
 
     def obs_collect(self, reset: bool = False) -> ObsSnapshot:
         """Harvest the server's telemetry registry as an ObsSnapshot.
@@ -472,9 +384,9 @@ class RemoteChip:
         per-round delta harvest.  Every float is f64 on the wire, so the
         snapshot is bit-identical to one taken in the server's process.
         """
-        _, payload = self._call(Op.OBS_COLLECT, 0, b"\x01" if reset else b"")
+        (blob,) = self._call(Op.OBS_COLLECT, reset)
         try:
-            return decode_snapshot(bytes(payload))
+            return decode_snapshot(blob)
         except ValueError as exc:
             raise CommandError(
                 f"OBS_COLLECT payload undecodable: {exc}"
@@ -482,7 +394,7 @@ class RemoteChip:
 
     def obs_reset(self) -> None:
         """Clear the server's telemetry registry (op counters persist)."""
-        self._call(Op.OBS_RESET)
+        self._post(Op.OBS_RESET)
 
     @property
     def counters(self) -> OpCounters:
@@ -496,41 +408,10 @@ class RemoteChip:
             raise CommandError("OBS_COLLECT answered no op counters")
         return ops
 
-    def get_counters(self) -> OpCounters:
-        """The op counters over the dedicated GET_COUNTERS opcode.
-
-        Unlike :attr:`counters` this does not drag the whole telemetry
-        snapshot across the wire — it is the cheap fixed-width query the
-        protocol always dispatched but no client method exposed (the
-        WIRE001 dead-surface finding).
-        """
-        _, payload = self._call(Op.GET_COUNTERS)
-        reads, o = take_i64(payload, 0)
-        programs, o = take_i64(payload, o)
-        erases, o = take_i64(payload, o)
-        partial_programs, o = take_i64(payload, o)
-        busy_time_s, o = take_f64(payload, o)
-        energy_j, o = take_f64(payload, o)
-        return OpCounters(
-            reads=reads,
-            programs=programs,
-            erases=erases,
-            partial_programs=partial_programs,
-            busy_time_s=busy_time_s,
-            energy_j=energy_j,
-        )
-
     def is_page_programmed(self, block: int, page: int) -> bool:
-        _, payload = self._call(
-            Op.IS_PROGRAMMED, 0, pack_i64(block, page)
-        )
-        if len(payload) != 1:
-            raise CommandError(
-                f"IS_PROGRAMMED answered {len(payload)} bytes, wanted 1"
-            )
-        return bool(payload[0])
+        (programmed,) = self._call(Op.IS_PROGRAMMED, block, page)
+        return bool(programmed)
 
     def block_pec(self, block: int) -> int:
-        _, payload = self._call(Op.BLOCK_PEC, 0, pack_i64(block))
-        value, _ = take_i64(payload, 0)
-        return value
+        (pec,) = self._call(Op.BLOCK_PEC, block)
+        return pec

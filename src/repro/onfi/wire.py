@@ -1,4 +1,4 @@
-"""Binary framing for the ONFI wire transport (DESIGN §13).
+"""The ONFI wire: frame layout and the one opcode table (DESIGN §13).
 
 One frame = an 8-byte little-endian header plus a payload::
 
@@ -12,21 +12,35 @@ status has the FAIL bit set carries an error payload (``u8 kind`` +
 UTF-8 message) instead of data.  ``tag`` echoes verbatim so a
 pipelining client can match responses to requests out of band.
 
-All addresses travel as signed 64-bit integers — negative blocks and
-pages cross the wire intact and are rejected by the *server's* chip
-with exactly the in-process error type and message.  Cell bits and
-voltages travel as raw ``uint8`` arrays via ``frombuffer``/memoryview;
-nothing on this wire is pickled.
+Every opcode's payload layout is declared once, as a row of
+:class:`Op`: its request fields, its response fields, the request flags
+it honours and whether it rolls the status register.  :func:`encode`
+and :func:`decode` walk a row's fields, so the client's packing and the
+server's parsing cannot drift apart.  All addresses travel as signed
+64-bit integers — negative blocks and pages cross the wire intact and
+are rejected by the *server's* chip with exactly the in-process error.
+Cell bits and voltages travel as raw ``uint8`` bytes, decoded as
+``frombuffer`` views; nothing on this wire is pickled.
 """
 
 from __future__ import annotations
 
 import struct
-from enum import IntEnum, unique
-from typing import BinaryIO, Optional, Sequence, Tuple
+from enum import Enum, IntEnum, unique
+from functools import reduce
+from operator import or_
+from typing import (
+    Any,
+    BinaryIO,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
+from ..cursor import Buffer, Reader, Writer
 from ..nand.errors import (
     AddressError,
     CommandError,
@@ -40,76 +54,158 @@ from ..nand.errors import (
 HEADER = struct.Struct("<IBBH")
 
 #: Bytes after the length field that are header, not payload.
-MIN_LENGTH = 4
+MIN_LENGTH = HEADER.size - struct.calcsize("<I")
 
 #: Payload ceiling — bounds server-side allocations against hostile or
 #: corrupt length fields (a full location batch on the bench geometry is
 #: a few MiB; 64 MiB leaves an order of magnitude of headroom).
 MAX_PAYLOAD = 64 << 20
 
-_I64 = struct.Struct("<q")
-_U64 = struct.Struct("<Q")
-_F64 = struct.Struct("<d")
+#: Request flag bits, in bit order:
+#:
+#: * ``FLAG_PARTIAL`` — hold this PROGRAM open so a following RESET can
+#:   abort it early (the paper's partial-program sequence, §1/§6.1);
+#: * ``FLAG_THRESHOLD`` — the payload starts with an explicit f64 read
+#:   threshold (the vendor reference shift, for this operation only);
+#: * ``FLAG_TRACE`` — the payload starts with a trace-parent prefix (u16
+#:   length + UTF-8 span name) naming the client-side span this frame's
+#:   server-side spans stitch under.  Only set when the client negotiated
+#:   tracing at HELLO *and* observability is enabled, so with
+#:   ``REPRO_OBS=0`` a frame carries zero extra bytes.  The trace prefix
+#:   precedes a threshold prefix when both are set.
+FLAG_PARTIAL, FLAG_THRESHOLD, FLAG_TRACE = (1 << i for i in range(3))
+
+#: HELLO capability bits, in bit order: the client may issue
+#: OBS_COLLECT / OBS_RESET, and may prefix frames with FLAG_TRACE
+#: parents.  The client requests a set; the server answers the subset
+#: it accepts.
+HELLO_BITS = HELLO_OBS, HELLO_TRACE = tuple(1 << i for i in range(2))
+HELLO_FLAGS_MASK = reduce(or_, HELLO_BITS)
+
+#: Span names are short dotted paths; a length beyond this is corruption.
+MAX_TRACE_PARENT = 1 << 12
+
+
+class Field(Enum):
+    """The kinds a payload field can have (all little-endian)."""
+
+    I64 = "i64"
+    U64 = "u64"
+    F64 = "f64"
+    U8 = "u8"
+    #: ``u8`` presence (0/1), then an f64 when present -> float or None.
+    OPT_F64 = "opt_f64"
+    #: i64 count, then that many i64 -> 1-D int64 array.
+    I64_ARRAY = "i64_array"
+    #: i64 count, then that many ``(block, page)`` i64 pairs -> (n, 2).
+    LOCATIONS = "locations"
+    #: ``cells_per_page`` u8 -> one page of bits or voltages.
+    PAGE = "page"
+    #: i64 count, then that many ``cells_per_page`` u8 rows -> (n, cols).
+    ROWS = "rows"
+    #: i64 length, then that many opaque bytes (an obs snapshot).
+    BLOB = "blob"
+
+
+I64, U64, F64, U8, OPT_F64, I64_ARRAY, LOCATIONS, PAGE, ROWS, BLOB = Field
+
+_SCALAR_CODES = {I64: "q", U64: "Q", F64: "d", U8: "B"}
+_I64_DTYPE = np.dtype("<i8")
+_U8_DTYPE = np.dtype("u1")
+
+
+class Layout(tuple):
+    """One payload layout: a tuple of fields, plus the steps the codec
+    walks — each run of fixed-width scalars packs as one struct."""
+
+    steps: Tuple[Any, ...]
+
+    def __new__(cls, fields: Sequence[Field]) -> "Layout":
+        layout = super().__new__(cls, fields)
+        steps: List[Any] = []
+        for field in fields:
+            code = _SCALAR_CODES.get(field)
+            if code is None:
+                steps.append(field)
+            elif steps and isinstance(steps[-1], str):
+                steps[-1] += code
+            else:
+                steps.append(code)
+        layout.steps = tuple(
+            struct.Struct("<" + step) if isinstance(step, str) else step
+            for step in steps
+        )
+        return layout
 
 
 @unique
 class Op(IntEnum):
-    """Wire opcodes.
+    """Wire opcodes, one row each: the command-constant table.
 
     Single-page operations reuse the ONFI/vendor encodings of
     :class:`repro.nand.onfi.Command`; the coalesced batch operations —
-    one frame per PR-6/PR-7 location-batch chip call — live in the
-    0xB0 vendor range and the host-side admin operations in 0xA0.
+    one frame per location-batch chip call — live in the 0xB0 vendor
+    range and the host-side admin operations in 0xA0.
+
+    An op with an empty response is posted (pipelined) by the client.
+    An op that honours FLAG_THRESHOLD takes the optional threshold as
+    its first argument.  Host-side queries do not roll the register.
     """
 
-    # -- singles (ONFI / vendor encodings) -------------------------------
-    READ = 0x00
-    ERASE = 0x60
-    READ_STATUS = 0x70
-    PROGRAM = 0x80
-    SET_READ_THRESHOLD = 0xC5
-    PROBE_VOLTAGES = 0xC6
-    PARTIAL_PROGRAM = 0xC7
-    RESET = 0xFF
-    # -- coalesced batches (one frame per batch op) ----------------------
-    READ_PAGES = 0xB0
-    PROBE_PAGES = 0xB1
-    PROGRAM_PAGES = 0xB2
-    READ_LOCATIONS = 0xB3
-    PROBE_LOCATIONS = 0xB4
-    PROGRAM_LOCATIONS = 0xB5
-    # -- admin -----------------------------------------------------------
-    HELLO = 0xA0
-    ADVANCE_TIME = 0xA1
-    GET_COUNTERS = 0xA2
-    IS_PROGRAMMED = 0xA3
-    BLOCK_PEC = 0xA4
-    OBS_COLLECT = 0xA5
-    OBS_RESET = 0xA6
-    SHUTDOWN = 0xAF
+    request: Layout
+    response: Layout
+    #: Request flags this op honours (FLAG_TRACE is honoured by all).
+    flags: int
+    #: Whether a completed frame rolls the ONFI status register.
+    rolls: bool
 
+    def __new__(
+        cls,
+        code: int,
+        request: Tuple[Field, ...],
+        response: Tuple[Field, ...] = (),
+        flags: int = 0,
+        rolls: bool = True,
+    ) -> "Op":
+        member = int.__new__(cls, code)
+        member._value_ = code
+        member.request = Layout(request)
+        member.response = Layout(response)
+        member.flags = flags
+        member.rolls = rolls
+        return member
 
-#: Request flag: hold this PROGRAM open so a following RESET can abort
-#: it early (the paper's partial-program sequence, §1/§6.1).
-FLAG_PARTIAL = 0x01
+    # Columns: code, request fields, response fields, honoured request
+    # flags, rolls the status register.
+    #
+    # -- singles (ONFI / vendor encodings) ---------------------------------
+    READ =               0x00, (I64, I64),             (PAGE,), FLAG_THRESHOLD
+    ERASE =              0x60, (I64,)
+    READ_STATUS =        0x70, (),                     (U8,),   0, False
+    PROGRAM =            0x80, (I64, I64, PAGE),       (),      FLAG_PARTIAL
+    SET_READ_THRESHOLD = 0xC5, (OPT_F64,)
+    PROBE_VOLTAGES =     0xC6, (I64, I64),             (PAGE,)
+    PARTIAL_PROGRAM =    0xC7, (I64, I64, F64, F64, I64_ARRAY)
+    RESET =              0xFF, (OPT_F64,)
+    # -- coalesced batches (one frame per batch op) ------------------------
+    READ_PAGES =         0xB0, (I64, I64_ARRAY),       (ROWS,), FLAG_THRESHOLD
+    PROBE_PAGES =        0xB1, (I64, I64_ARRAY),       (ROWS,)
+    PROGRAM_PAGES =      0xB2, (I64, I64_ARRAY, ROWS)
+    READ_LOCATIONS =     0xB3, (LOCATIONS,),           (ROWS,), FLAG_THRESHOLD
+    PROBE_LOCATIONS =    0xB4, (LOCATIONS,),           (ROWS,)
+    PROGRAM_LOCATIONS =  0xB5, (LOCATIONS, ROWS)
+    # -- admin -------------------------------------------------------------
+    # HELLO requests capability bits and answers (blocks, pages/block,
+    # cells/page, bytes/page, seed, clock, accepted capability bits).
+    HELLO =              0xA0, (U8,), (I64, I64, I64, I64, U64, F64, U8), 0, False
+    ADVANCE_TIME =       0xA1, (F64,),                 (F64,)
+    IS_PROGRAMMED =      0xA3, (I64, I64),             (U8,)
+    BLOCK_PEC =          0xA4, (I64,),                 (I64,)
+    # OBS_COLLECT's u8 request switches on reset-after-snapshot.
+    OBS_COLLECT =        0xA5, (U8,),                  (BLOB,), 0, False
+    OBS_RESET =          0xA6, (),                     (),      0, False
+    SHUTDOWN =           0xAF, (),                     (),      0, False
 
-#: Request flag: the payload starts with an explicit f64 read threshold
-#: (the vendor reference-shift applied to this operation only).
-FLAG_THRESHOLD = 0x02
-
-#: Request flag: the payload starts with a trace-parent prefix (u16
-#: length + UTF-8 span name) naming the client-side span this frame's
-#: server-side spans should stitch under.  Only ever set when the client
-#: negotiated tracing at HELLO *and* observability is enabled — with
-#: ``REPRO_OBS=0`` the flag stays clear and the frame carries zero extra
-#: bytes.  The prefix precedes a FLAG_THRESHOLD prefix when both are set.
-FLAG_TRACE = 0x04
-
-#: HELLO capability bits (u8 in the request payload; the server echoes
-#: the accepted subset as a trailing u8 in its response).
-HELLO_OBS = 0x01  # client may issue OBS_COLLECT / OBS_RESET
-HELLO_TRACE = 0x02  # client may prefix frames with FLAG_TRACE parents
-HELLO_FLAGS_MASK = HELLO_OBS | HELLO_TRACE
 
 #: Error payload kinds — ``u8`` codes mapping wire errors back onto the
 #: exact exception type the in-process chip raises.
@@ -127,9 +223,6 @@ _KIND_BY_TYPE = {exc: code for code, exc in enumerate(ERROR_KINDS)}
 
 def error_kind(exc: BaseException) -> int:
     """The wire code of an exception (most specific type wins)."""
-    code = _KIND_BY_TYPE.get(type(exc))
-    if code is not None:
-        return code
     for klass in type(exc).__mro__:
         code = _KIND_BY_TYPE.get(klass)
         if code is not None:
@@ -153,42 +246,35 @@ def decode_error(payload: bytes) -> Exception:
     return ERROR_KINDS[kind](message)
 
 
-def pack_frame(
-    opcode: int, flags_or_status: int, tag: int, payload: bytes = b""
-) -> bytes:
-    """Serialise one frame (header + payload)."""
-    if len(payload) > MAX_PAYLOAD:
-        raise CommandError(
-            f"payload of {len(payload)} bytes exceeds the "
-            f"{MAX_PAYLOAD}-byte frame cap"
-        )
-    header = HEADER.pack(
-        MIN_LENGTH + len(payload), opcode & 0xFF, flags_or_status & 0xFF,
-        tag & 0xFFFF,
-    )
-    return header + payload
+# ----------------------------------------------------------------------
+# framing
 
 
 def write_frame(
-    wfile, opcode: int, flags_or_status: int, tag: int, payload=b""
+    wfile: BinaryIO,
+    opcode: int,
+    flags_or_status: int,
+    tag: int,
+    chunks: Sequence[Buffer] = (),
 ) -> None:
-    """Write one frame as header + payload without concatenating them.
+    """Write one frame as a header plus the payload's chunks.
 
     The scatter write keeps multi-megabyte batch payloads out of an
-    intermediate ``header + payload`` copy; callers flush when the
-    exchange needs the frame on the wire.
+    intermediate concatenated copy; callers flush when the exchange
+    needs the frame on the wire.
     """
-    if len(payload) > MAX_PAYLOAD:
+    size = sum(map(len, chunks))
+    if size > MAX_PAYLOAD:
         raise CommandError(
-            f"payload of {len(payload)} bytes exceeds the "
+            f"payload of {size} bytes exceeds the "
             f"{MAX_PAYLOAD}-byte frame cap"
         )
     wfile.write(HEADER.pack(
-        MIN_LENGTH + len(payload), opcode & 0xFF, flags_or_status & 0xFF,
+        MIN_LENGTH + size, opcode & 0xFF, flags_or_status & 0xFF,
         tag & 0xFFFF,
     ))
-    if payload:
-        wfile.write(payload)
+    for chunk in chunks:
+        wfile.write(chunk)
 
 
 class FrameReader:
@@ -261,179 +347,160 @@ class FrameReader:
 
 
 # ----------------------------------------------------------------------
-# payload codecs
-#
-# Every codec is symmetric and total over well-formed inputs; decoders
-# raise CommandError for any size mismatch so the server's dispatch can
-# answer malformed payloads with a defined error response.
+# payload codec: one walker each way over a row's fields
 
 
-def pack_i64(*values: int) -> bytes:
-    return struct.pack(f"<{len(values)}q", *values)
+def _byte_view(array: np.ndarray) -> Buffer:
+    """A C-contiguous array's bytes as a flat view (no copy)."""
+    return memoryview(array).cast("B") if array.size else b""
 
 
-def pack_f64(*values: float) -> bytes:
-    return struct.pack(f"<{len(values)}d", *values)
-
-
-def pack_u64(value: int) -> bytes:
-    """One unsigned 64-bit value (chip seeds are full-width hashes)."""
-    return _U64.pack(value)
-
-
-def take_u64(payload, offset: int) -> Tuple[int, int]:
-    """Decode one u64 at `offset`; returns (value, next offset)."""
-    if offset + 8 > len(payload):
-        raise CommandError(
-            f"payload truncated: wanted u64 at offset {offset}, "
-            f"have {len(payload)} bytes"
+def encode(layout: Layout, values: Sequence[Any], w: Writer) -> None:
+    """Append `values`, one per field of `layout`, to `w`."""
+    if len(values) != len(layout):
+        raise ValueError(
+            f"{len(layout)} fields need {len(layout)} values, "
+            f"got {len(values)}"
         )
-    return _U64.unpack_from(payload, offset)[0], offset + 8
+    i = 0
+    for step in layout.steps:
+        if step.__class__ is struct.Struct:
+            end = i + len(step.format) - 1
+            w.pack(step, *values[i:end])
+            i = end
+            continue
+        value = values[i]
+        i += 1
+        if step is OPT_F64:
+            w.u8(value is not None)
+            if value is not None:
+                w.f64(value)
+        elif step is BLOB:
+            w.i64(len(value))
+            w.raw(value)
+        elif step is PAGE:
+            w.raw(_byte_view(np.ascontiguousarray(value, _U8_DTYPE)))
+        else:
+            array = np.ascontiguousarray(
+                value, _U8_DTYPE if step is ROWS else _I64_DTYPE
+            )
+            if step is I64_ARRAY:
+                array = array.reshape(-1)
+            elif step is LOCATIONS:
+                array = array.reshape(-1, 2)
+            w.i64(len(array))
+            w.raw(_byte_view(array))
 
 
-def take_i64(payload, offset: int) -> Tuple[int, int]:
-    """Decode one i64 at `offset`; returns (value, next offset)."""
-    if offset + 8 > len(payload):
-        raise CommandError(
-            f"payload truncated: wanted i64 at offset {offset}, "
-            f"have {len(payload)} bytes"
-        )
-    return _I64.unpack_from(payload, offset)[0], offset + 8
+def decode(layout: Layout, r: Reader, cols: int) -> Tuple[Any, ...]:
+    """Read one value per field of `layout`; `r` must then be exhausted.
 
-
-def take_f64(payload, offset: int) -> Tuple[float, int]:
-    """Decode one f64 at `offset`; returns (value, next offset)."""
-    if offset + 8 > len(payload):
-        raise CommandError(
-            f"payload truncated: wanted f64 at offset {offset}, "
-            f"have {len(payload)} bytes"
-        )
-    return _F64.unpack_from(payload, offset)[0], offset + 8
-
-
-def pack_i64_array(values: Sequence[int]) -> bytes:
-    """Ship an index sequence as a flat little-endian i64 array."""
-    return np.ascontiguousarray(
-        np.asarray(values, dtype=np.int64)
-    ).tobytes()
-
-
-def take_i64_array(payload, offset: int) -> np.ndarray:
-    """Decode the rest of the payload as a flat i64 array."""
-    rest = len(payload) - offset
-    if rest % 8:
-        raise CommandError(
-            f"payload tail of {rest} bytes is not a whole i64 array"
-        )
-    return np.frombuffer(payload, dtype=np.int64, offset=offset)
-
-
-def take_i64_count(
-    payload, offset: int, count: int
-) -> Tuple[np.ndarray, int]:
-    """Decode exactly `count` i64 values; returns (array, next offset)."""
-    if count < 0:
-        raise CommandError(f"negative element count {count}")
-    end = offset + count * 8
-    if end > len(payload):
-        raise CommandError(
-            f"payload truncated: wanted {count} i64s at offset {offset}, "
-            f"have {len(payload)} bytes"
-        )
-    values = np.frombuffer(
-        payload, dtype=np.int64, offset=offset, count=count
-    )
-    return values, end
-
-
-def pack_u8_array(array: np.ndarray) -> bytes:
-    """Ship a bit/voltage array as raw uint8 bytes (no copy on C-order)."""
-    return np.ascontiguousarray(array, dtype=np.uint8).tobytes()
-
-
-def u8_payload(array: np.ndarray) -> memoryview:
-    """A uint8 array as a frame payload without the ``tobytes`` copy.
-
-    For multi-megabyte batch responses the memoryview goes straight to
-    the stream's scatter write (:func:`write_frame`); use
-    :func:`pack_u8_array` when the bytes must be concatenated.
+    `cols` is the page width (``cells_per_page``) of PAGE and ROWS
+    fields.  Arrays are zero-copy views of the reader's buffer.  Raises
+    :class:`ValueError` on a short or overlong payload.
     """
-    return memoryview(np.ascontiguousarray(array, dtype=np.uint8)).cast("B")
+    values: List[Any] = []
+    for step in layout.steps:
+        if step.__class__ is struct.Struct:
+            values.extend(r.unpack(step))
+        elif step is OPT_F64:
+            present = r.u8()
+            if present > 1:
+                raise ValueError(f"optional-field marker {present} not 0/1")
+            values.append(r.f64() if present else None)
+        elif step is BLOB:
+            values.append(r.take(r.i64()))
+        elif step is PAGE:
+            values.append(r.array(_U8_DTYPE, cols))
+        else:
+            count = r.i64()
+            if step is I64_ARRAY:
+                values.append(r.array(_I64_DTYPE, count))
+            elif step is LOCATIONS:
+                values.append(
+                    r.array(_I64_DTYPE, 2 * count).reshape(count, 2)
+                )
+            else:
+                values.append(
+                    r.array(_U8_DTYPE, count * cols).reshape(count, cols)
+                )
+    r.end()
+    return tuple(values)
 
 
-def take_u8_matrix(payload, offset: int, rows: int, cols: int) -> np.ndarray:
-    """Decode the payload tail as a ``(rows, cols)`` uint8 matrix.
+def encode_request(
+    op: Op,
+    args: Sequence[Any],
+    flags: int = 0,
+    trace_parent: Optional[str] = None,
+) -> Tuple[int, List[Buffer]]:
+    """A request's ``(flags, payload chunks)``.
 
-    Zero-copy over the reader's ``bytearray`` buffers — the result is
-    writable exactly like a freshly allocated in-process array.
+    For an op that honours FLAG_THRESHOLD, ``args[0]`` is the optional
+    threshold: a number sets the flag and the f64 prefix, ``None``
+    leaves both out.  A `trace_parent` sets FLAG_TRACE and its prefix.
     """
-    rest = len(payload) - offset
-    if rows < 0 or rest != rows * cols:
-        raise CommandError(
-            f"payload tail of {rest} bytes does not hold "
-            f"{rows} rows of {cols} cells"
-        )
-    return np.frombuffer(
-        payload, dtype=np.uint8, offset=offset
-    ).reshape(rows, cols)
+    w = Writer()
+    if trace_parent is not None:
+        raw = trace_parent.encode("utf-8")
+        if len(raw) > MAX_TRACE_PARENT:
+            raise CommandError(
+                f"trace parent of {len(raw)} bytes exceeds the "
+                f"{MAX_TRACE_PARENT}-byte cap"
+            )
+        flags |= FLAG_TRACE
+        w.u16(len(raw))
+        w.raw(raw)
+    if op.flags & FLAG_THRESHOLD:
+        threshold, *args = args
+        if threshold is not None:
+            flags |= FLAG_THRESHOLD
+            w.f64(threshold)
+    encode(op.request, args, w)
+    return flags, w.chunks
 
 
-def pack_locations(locations: Sequence[Tuple[int, int]]) -> bytes:
-    """Ship ``(block, page)`` pairs as an interleaved i64 array."""
-    flat = np.asarray(
-        [coord for location in locations for coord in location],
-        dtype=np.int64,
-    )
-    return flat.tobytes()
+def decode_request(
+    op: Op, flags: int, payload: Buffer, cols: int
+) -> Tuple[Optional[str], Tuple[Any, ...]]:
+    """The ``(trace parent, args)`` of a request; inverse of
+    :func:`encode_request`.  Any malformation is a CommandError."""
+    r = Reader(payload)
+    try:
+        unknown = flags & ~(op.flags | FLAG_TRACE)
+        if unknown:
+            raise ValueError(
+                f"{op.name} does not take request flags 0x{unknown:02X}"
+            )
+        parent: Optional[str] = None
+        if flags & FLAG_TRACE:
+            size = r.u16()
+            if size > MAX_TRACE_PARENT:
+                raise ValueError(
+                    f"trace parent of {size} bytes exceeds the "
+                    f"{MAX_TRACE_PARENT}-byte cap"
+                )
+            parent = bytes(r.take(size)).decode("utf-8", errors="replace")
+        prefix: Tuple[Any, ...] = ()
+        if op.flags & FLAG_THRESHOLD:
+            prefix = (r.f64() if flags & FLAG_THRESHOLD else None,)
+        return parent, prefix + decode(op.request, r, cols)
+    except ValueError as exc:
+        raise CommandError(f"malformed {op.name} request: {exc}") from exc
 
 
-_U16 = struct.Struct("<H")
-
-#: Span names are short dotted paths; a length beyond this is corruption.
-MAX_TRACE_PARENT = 1 << 12
-
-
-def pack_trace_parent(name: str) -> bytes:
-    """Encode a trace-parent prefix: u16 length + UTF-8 span name."""
-    raw = name.encode("utf-8")
-    if len(raw) > MAX_TRACE_PARENT:
-        raise CommandError(
-            f"trace parent of {len(raw)} bytes exceeds the "
-            f"{MAX_TRACE_PARENT}-byte cap"
-        )
-    return _U16.pack(len(raw)) + raw
+def encode_response(op: Op, values: Sequence[Any]) -> List[Buffer]:
+    """A response's payload chunks."""
+    w = Writer()
+    encode(op.response, values, w)
+    return w.chunks
 
 
-def take_trace_parent(payload, offset: int) -> Tuple[str, int]:
-    """Decode a trace-parent prefix; returns (name, next offset)."""
-    if offset + 2 > len(payload):
-        raise CommandError(
-            f"payload truncated: wanted trace-parent length at offset "
-            f"{offset}, have {len(payload)} bytes"
-        )
-    (size,) = _U16.unpack_from(payload, offset)
-    offset += 2
-    if size > MAX_TRACE_PARENT:
-        raise CommandError(
-            f"trace parent of {size} bytes exceeds the "
-            f"{MAX_TRACE_PARENT}-byte cap"
-        )
-    end = offset + size
-    if end > len(payload):
-        raise CommandError(
-            f"payload truncated: trace parent promised {size} bytes, "
-            f"have {len(payload) - offset}"
-        )
-    name = bytes(payload[offset:end]).decode("utf-8", errors="replace")
-    return name, end
-
-
-def take_locations(payload, offset: int) -> list:
-    """Decode interleaved i64 pairs back into ``[(block, page)]``."""
-    flat = take_i64_array(payload, offset)
-    if flat.size % 2:
-        raise CommandError(
-            f"location list of {flat.size} i64s is not whole pairs"
-        )
-    pairs = flat.reshape(-1, 2)
-    return [(int(block), int(page)) for block, page in pairs]
+def decode_response(
+    op: Op, payload: Buffer, cols: int
+) -> Tuple[Any, ...]:
+    """A response's values; any malformation is a CommandError."""
+    try:
+        return decode(op.response, Reader(payload), cols)
+    except ValueError as exc:
+        raise CommandError(f"malformed {op.name} response: {exc}") from exc

@@ -1,4 +1,4 @@
-"""Repetition code, interleaver, parity group."""
+"""Interleaver, parity group."""
 
 import numpy as np
 import pytest
@@ -6,46 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.ecc import (
     ParityGroup,
-    RepetitionCode,
     deinterleave,
     interleave,
 )
-
-
-class TestRepetition:
-    def test_factor_must_be_odd(self):
-        with pytest.raises(ValueError):
-            RepetitionCode(2)
-        with pytest.raises(ValueError):
-            RepetitionCode(0)
-
-    def test_roundtrip_clean(self):
-        code = RepetitionCode(3)
-        data = np.array([1, 0, 1, 1], dtype=np.uint8)
-        assert np.array_equal(code.decode(code.encode(data)), data)
-
-    def test_corrects_minority_flips(self):
-        code = RepetitionCode(5)
-        data = np.array([1, 0], dtype=np.uint8)
-        coded = code.encode(data)
-        coded[0] ^= 1
-        coded[6] ^= 1
-        coded[8] ^= 1
-        assert np.array_equal(code.decode(coded), data)
-
-    def test_majority_flips_lose(self):
-        code = RepetitionCode(3)
-        coded = code.encode(np.array([1], dtype=np.uint8))
-        coded[:2] ^= 1
-        assert code.decode(coded)[0] == 0
-
-    def test_length_validation(self):
-        code = RepetitionCode(3)
-        with pytest.raises(ValueError):
-            code.decode(np.zeros(4, dtype=np.uint8))
-
-    def test_overhead(self):
-        assert RepetitionCode(5).overhead() == pytest.approx(0.8)
 
 
 class TestInterleave:

@@ -59,14 +59,14 @@ class TestLint000:
 class TestSelectFamilies:
     def test_family_prefix_expands(self):
         rules = all_rules()
-        chosen = expand_select(["WIRE"], rules)
-        assert chosen == {c for c in rules if c.startswith("WIRE")}
-        assert len(chosen) == 5
+        chosen = expand_select(["CONC"], rules)
+        assert chosen == {c for c in rules if c.startswith("CONC")}
+        assert len(chosen) == 2
 
     def test_comma_joined_mix(self):
         rules = all_rules()
-        chosen = expand_select(["WIRE,CONC,DET003"], rules)
-        assert "WIRE001" in chosen and "CONC002" in chosen
+        chosen = expand_select(["CONC,DET003"], rules)
+        assert "CONC001" in chosen and "CONC002" in chosen
         assert "DET003" in chosen and "DET001" not in chosen
 
     def test_unknown_item_raises(self):
@@ -77,8 +77,8 @@ class TestSelectFamilies:
         root = project({
             "src/repro/experiments/mod.py": "X = 1  # repro: noqa[NOPE1]\n",
         })
-        # WIRE family selected -> LINT000 not active -> clean.
-        assert codes(lint(root, select=["WIRE"])) == []
+        # CONC family selected -> LINT000 not active -> clean.
+        assert codes(lint(root, select=["CONC"])) == []
 
 
 class TestTreeMeta:
@@ -96,7 +96,7 @@ class TestTreeMeta:
         result = run_lint(
             [REPO / "tests", REPO / "benchmarks"],
             root=REPO,
-            select=["WIRE,CONC,DET003"],
+            select=["CONC,DET003"],
         )
         assert codes(result.findings) == []
 

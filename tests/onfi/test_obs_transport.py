@@ -28,7 +28,7 @@ from repro.fleet import (
     generate_requests,
 )
 from repro.nand import TEST_MODEL, FlashChip
-from repro.onfi import Op, RemoteChip, spawn_chip_server
+from repro.onfi import Op, RemoteChip, encode_request, spawn_chip_server
 
 from .conftest import SEED, page_bits
 
@@ -72,7 +72,6 @@ class TestObsCollect:
             assert remote.counters == local.counters
             # and the frame that carried them was OBS_COLLECT
             assert remote.sent_ops.get(int(Op.OBS_COLLECT), 0) == 1
-            assert remote.sent_ops.get(int(Op.GET_COUNTERS), 0) == 0
         finally:
             cleanup()
 
@@ -161,9 +160,11 @@ class TestTracePropagation:
         try:
             # HELLO still negotiates the capability...
             assert remote.server_flags != 0
-            # ...but the wrapper must never touch the payload.
-            flags, payload = remote._wrap_trace(0, b"abc")
-            assert (flags, payload) == (0, b"abc")
+            # ...but the encoder must never touch the payload.
+            flags, chunks = encode_request(
+                Op.READ_STATUS, (), 0, remote._trace_parent()
+            )
+            assert (flags, b"".join(chunks)) == (0, b"")
         finally:
             cleanup()
 
@@ -183,9 +184,6 @@ def fleet_totals(tenants, seed, remote, backend="thread", workers=None):
         for request in fleet_requests(tenants, seed):
             service.submit(request)
         service.drain(CoalescingScheduler(), shard_workers=workers)
-        if remote:
-            for shard in service.shards:
-                assert shard.chip.sent_ops.get(int(Op.GET_COUNTERS), 0) == 0
         return service.fleet_snapshot()
 
 

@@ -19,7 +19,6 @@ from repro.nand.errors import (
     ProgramError,
 )
 from repro.onfi import FLAG_PARTIAL, Op, RemoteChip, spawn_chip_server
-from repro.onfi.wire import pack_f64, pack_i64, pack_u8_array
 
 from .conftest import SEED, page_bits
 
@@ -120,9 +119,7 @@ def test_held_program_aborted_by_other_command(remote):
     """Any frame other than RESET aborts a held PROGRAM, uncharged."""
     before = remote.probe_voltages(0, 3)
     pattern = np.zeros(GEOMETRY.cells_per_page, dtype=np.uint8)
-    remote._post(
-        Op.PROGRAM, FLAG_PARTIAL, pack_i64(0, 3) + pack_u8_array(pattern)
-    )
+    remote._post(Op.PROGRAM, 0, 3, pattern, flags=FLAG_PARTIAL)
     with pytest.raises(CommandError, match="held open"):
         remote.read_page(0, 3)
     # No charge landed, and the connection still serves.
@@ -131,7 +128,7 @@ def test_held_program_aborted_by_other_command(remote):
 
 def test_reset_abort_without_held_program_is_defined(remote):
     with pytest.raises(CommandError, match="no PROGRAM is held open"):
-        remote._call(Op.RESET, 0, pack_f64(300.0))
+        remote._call(Op.RESET, 300.0)
 
 
 def test_counters_and_clock_track_exactly(remote, local, geometry):
@@ -146,18 +143,6 @@ def test_counters_and_clock_track_exactly(remote, local, geometry):
     assert local.clock == remote.clock
     assert local.block_pec(2) == remote.block_pec(2)
     assert local.is_page_programmed(2, 1) == remote.is_page_programmed(2, 1)
-
-
-def test_get_counters_matches_snapshot_counters(remote, local, geometry):
-    # The dedicated GET_COUNTERS opcode and the OBS_COLLECT-borne
-    # ``counters`` property must answer the same totals bit-for-bit.
-    bits = page_bits(geometry, 1)
-    for chip in (local, remote):
-        chip.program_page(1, 0, bits)
-        chip.read_page(1, 0)
-        chip.erase_block(1)
-    assert remote.get_counters() == remote.counters
-    assert remote.get_counters() == local.counters
 
 
 def test_error_parity_types_and_messages(remote, local, geometry):

@@ -25,17 +25,18 @@ from repro.onfi import (
     FrameReader,
     Op,
     decode_error,
-    pack_frame,
+    encode_request,
+    write_frame,
 )
-from repro.onfi.wire import pack_i64
 
 GEOMETRY = TEST_MODEL.geometry
 
 FUZZ_SETTINGS = dict(max_examples=50, deadline=None)
 STREAM_SETTINGS = dict(max_examples=25, deadline=None)
 
-# Ops that mutate chip state; every take_* helper needs >= 8 bytes, so
-# payloads of 1..7 bytes are malformed for all of them.
+# Ops that mutate chip state; each request starts with an 8-byte field
+# (an i64, f64 or array count), so payloads of 1..7 bytes are malformed
+# for all of them.
 MUTATING_OPS = [
     Op.READ,
     Op.ERASE,
@@ -47,6 +48,19 @@ MUTATING_OPS = [
     Op.PROGRAM_LOCATIONS,
     Op.ADVANCE_TIME,
 ]
+
+
+def frame_bytes(opcode, flags, tag, payload=b""):
+    """One frame's bytes, framed by the real scatter writer."""
+    out = io.BytesIO()
+    write_frame(out, opcode, flags, tag, [payload])
+    return out.getvalue()
+
+
+def read_request(block, page):
+    """A well-formed READ payload."""
+    _, chunks = encode_request(Op.READ, (None, block, page))
+    return b"".join(chunks)
 
 
 def fresh_server(seed=7):
@@ -112,7 +126,7 @@ def test_trailing_payload_bytes_rejected(payloads):
     """Valid prefix + trailing junk is malformed, not silently ignored."""
     server = fresh_server()
     for junk in payloads:
-        payload = pack_i64(0, 0) + b"\xff" + junk  # READ wants exactly 16
+        payload = read_request(0, 0) + b"\xff" + junk  # READ wants exactly 16
         status, out, _ = server.handle_frame(int(Op.READ), 0, 0, payload)
         assert status & STATUS_FAIL
         assert isinstance(decode_error(out), NandError)
@@ -127,7 +141,7 @@ def test_arbitrary_streams_terminate_with_wellformed_output(data):
             st.one_of(
                 st.binary(max_size=24),
                 st.builds(
-                    pack_frame,
+                    frame_bytes,
                     st.integers(0, 255),
                     st.integers(0, 255),
                     st.integers(0, 0xFFFF),
@@ -152,7 +166,7 @@ def test_reordered_duplicate_tags_echo_in_request_order(tags):
     """Tags are opaque: arbitrary order and duplicates echo FIFO."""
     server = fresh_server()
     stream = b"".join(
-        pack_frame(int(Op.READ_STATUS), 0, tag) for tag in tags
+        frame_bytes(int(Op.READ_STATUS), 0, tag) for tag in tags
     )
     out = io.BytesIO()
     server.serve(FrameReader(io.BytesIO(stream)), out)
@@ -162,8 +176,8 @@ def test_reordered_duplicate_tags_echo_in_request_order(tags):
 
 
 def test_truncated_stream_answers_complete_frames_then_hangs_up():
-    good = pack_frame(int(Op.READ_STATUS), 0, 5)
-    partial = pack_frame(int(Op.READ), 0, 6, pack_i64(0, 0))[:-3]
+    good = frame_bytes(int(Op.READ_STATUS), 0, 5)
+    partial = frame_bytes(int(Op.READ), 0, 6, read_request(0, 0))[:-3]
     server = fresh_server()
     out = io.BytesIO()
     server.serve(FrameReader(io.BytesIO(good + partial)), out)
@@ -180,7 +194,7 @@ def test_garbage_header_hangs_up_without_response():
 
 def test_shutdown_frame_stops_serving():
     server = fresh_server()
-    stream = pack_frame(int(Op.SHUTDOWN), 0, 1) + pack_frame(
+    stream = frame_bytes(int(Op.SHUTDOWN), 0, 1) + frame_bytes(
         int(Op.READ_STATUS), 0, 2
     )
     out = io.BytesIO()
