@@ -238,12 +238,33 @@ class ClassModel:
     bases: List[ast.expr] = field(default_factory=list)
     #: ``self.<attr> = SomeClass(...)`` facts: attr -> class key.
     attr_types: Dict[str, str] = field(default_factory=dict)
-    #: Methods referenced (not called) from class-level dispatch tables
-    #: like ``_HANDLERS = {Op.READ: _op_read, ...}``.
+    #: Methods referenced (not called) from dispatch tables: class-level
+    #: dicts like ``_HANDLERS = {Op.READ: _op_read, ...}``, and tables
+    #: built by name anywhere in the module, like
+    #: ``{op: getattr(Cls, f"_op_{op.name}") for op in Op}`` (every
+    #: method with the f-string's literal prefix).
     table_methods: Set[str] = field(default_factory=set)
 
 
 Target = Tuple[ModuleInfo, FunctionInfo]
+
+
+def _getattr_prefix(node: ast.AST) -> Optional[Tuple[str, str]]:
+    """``getattr(Cls, f"prefix{...}")`` -> ``("Cls", "prefix")``."""
+    if not (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "getattr"
+        and len(node.args) >= 2
+        and isinstance(node.args[0], ast.Name)
+        and isinstance(node.args[1], ast.JoinedStr)
+    ):
+        return None
+    head = node.args[1].values[:1]
+    prefix = ""
+    if head and isinstance(head[0], ast.Constant):
+        prefix = str(head[0].value)
+    return node.args[0].id, prefix
 
 
 class CallGraph:
@@ -301,6 +322,14 @@ class CallGraph:
 
         walk(module.tree.body, "")
         self.by_module[module.modname] = local
+        for node in ast.walk(module.tree):
+            ref = _getattr_prefix(node)
+            if ref is not None and ref[0] in local:
+                model = self.classes[local[ref[0]]]
+                model.table_methods.update(
+                    name for name in model.methods
+                    if name.startswith(ref[1])
+                )
 
     def _extract_attr_types(self, model: ClassModel) -> None:
         for info in model.methods.values():

@@ -116,24 +116,27 @@ _U8_DTYPE = np.dtype("u1")
 
 class Layout(tuple):
     """One payload layout: a tuple of fields, plus the steps the codec
-    walks — each run of fixed-width scalars packs as one struct."""
+    walks.  A step is ``(struct, n)`` for a run of `n` fixed-width
+    scalars packed as one struct, or ``(field, 0)`` for any other field.
+    """
 
-    steps: Tuple[Any, ...]
+    steps: Tuple[Tuple[Any, int], ...]
 
     def __new__(cls, fields: Sequence[Field]) -> "Layout":
         layout = super().__new__(cls, fields)
-        steps: List[Any] = []
+        steps: List[Tuple[Any, int]] = []
         for field in fields:
             code = _SCALAR_CODES.get(field)
             if code is None:
-                steps.append(field)
-            elif steps and isinstance(steps[-1], str):
-                steps[-1] += code
+                steps.append((field, 0))
+            elif steps and isinstance(steps[-1][0], str):
+                steps[-1] = (steps[-1][0] + code, steps[-1][1] + 1)
             else:
-                steps.append(code)
+                steps.append((code, 1))
         layout.steps = tuple(
-            struct.Struct("<" + step) if isinstance(step, str) else step
-            for step in steps
+            (struct.Struct("<" + step), n) if isinstance(step, str)
+            else (step, n)
+            for step, n in steps
         )
         return layout
 
@@ -355,6 +358,11 @@ def _byte_view(array: np.ndarray) -> Buffer:
     return memoryview(array).cast("B") if array.size else b""
 
 
+_I64 = struct.Struct("<q")
+_OPT_ABSENT = b"\x00"
+_OPT_PRESENT = struct.Struct("<Bd")
+
+
 def encode(layout: Layout, values: Sequence[Any], w: Writer) -> None:
     """Append `values`, one per field of `layout`, to `w`."""
     if len(values) != len(layout):
@@ -362,24 +370,24 @@ def encode(layout: Layout, values: Sequence[Any], w: Writer) -> None:
             f"{len(layout)} fields need {len(layout)} values, "
             f"got {len(values)}"
         )
+    append = w.chunks.append
     i = 0
-    for step in layout.steps:
-        if step.__class__ is struct.Struct:
-            end = i + len(step.format) - 1
-            w.pack(step, *values[i:end])
-            i = end
+    for step, n in layout.steps:
+        if n:
+            append(step.pack(*values[i:i + n]))
+            i += n
             continue
         value = values[i]
         i += 1
-        if step is OPT_F64:
-            w.u8(value is not None)
-            if value is not None:
-                w.f64(value)
+        if step is PAGE:
+            append(_byte_view(np.ascontiguousarray(value, _U8_DTYPE)))
+        elif step is OPT_F64:
+            append(
+                _OPT_ABSENT if value is None else _OPT_PRESENT.pack(1, value)
+            )
         elif step is BLOB:
-            w.i64(len(value))
-            w.raw(value)
-        elif step is PAGE:
-            w.raw(_byte_view(np.ascontiguousarray(value, _U8_DTYPE)))
+            append(_I64.pack(len(value)))
+            append(value)
         else:
             array = np.ascontiguousarray(
                 value, _U8_DTYPE if step is ROWS else _I64_DTYPE
@@ -388,8 +396,8 @@ def encode(layout: Layout, values: Sequence[Any], w: Writer) -> None:
                 array = array.reshape(-1)
             elif step is LOCATIONS:
                 array = array.reshape(-1, 2)
-            w.i64(len(array))
-            w.raw(_byte_view(array))
+            append(_I64.pack(len(array)))
+            append(_byte_view(array))
 
 
 def decode(layout: Layout, r: Reader, cols: int) -> Tuple[Any, ...]:
@@ -400,9 +408,11 @@ def decode(layout: Layout, r: Reader, cols: int) -> Tuple[Any, ...]:
     :class:`ValueError` on a short or overlong payload.
     """
     values: List[Any] = []
-    for step in layout.steps:
-        if step.__class__ is struct.Struct:
+    for step, n in layout.steps:
+        if n:
             values.extend(r.unpack(step))
+        elif step is PAGE:
+            values.append(r.array(_U8_DTYPE, cols))
         elif step is OPT_F64:
             present = r.u8()
             if present > 1:
@@ -410,8 +420,6 @@ def decode(layout: Layout, r: Reader, cols: int) -> Tuple[Any, ...]:
             values.append(r.f64() if present else None)
         elif step is BLOB:
             values.append(r.take(r.i64()))
-        elif step is PAGE:
-            values.append(r.array(_U8_DTYPE, cols))
         else:
             count = r.i64()
             if step is I64_ARRAY:

@@ -1,5 +1,6 @@
 """LINT000, ``--select`` family expansion, and whole-tree meta-tests."""
 
+import shutil
 import textwrap
 from pathlib import Path
 
@@ -7,6 +8,8 @@ import pytest
 
 from repro.lint import run_lint
 from repro.lint.engine import all_rules, expand_select
+from repro.lint.project import Project
+from repro.onfi.wire import Op
 
 from .conftest import codes, lint
 
@@ -99,6 +102,55 @@ class TestTreeMeta:
             select=["CONC,DET003"],
         )
         assert codes(result.findings) == []
+
+    def test_every_wire_handler_is_dispatch_reachable(self):
+        # ChipServer builds its handler table from the opcode enum, not
+        # from a class-body dict; the DET and CONC rules must still see
+        # every handler behind the frame dispatch.
+        project = Project.load(REPO, sorted((REPO / "src").rglob("*.py")))
+        server = project.modules["repro.onfi.server"]
+        handlers = {
+            qualname for qualname in server.functions
+            if qualname.startswith("ChipServer._op_")
+        }
+        assert len(handlers) == len(Op)
+        reachable = project.parallel_reachable()
+        missing = {
+            qualname for qualname in handlers
+            if ("repro.onfi.server", qualname) not in reachable
+        }
+        assert missing == set()
+
+    def test_seeded_wire_handler_violation_is_caught(self, tmp_path):
+        # A wall-clock value written to unguarded module state from a
+        # real wire handler, in a copy of src/: DET001 (the value reaches
+        # module state), DET002 and CONC001 (the handler is reachable
+        # from ChipServer.serve) must all fire.
+        shutil.copytree(REPO / "src", tmp_path / "src")
+        server = tmp_path / "src" / "repro" / "onfi" / "server.py"
+        text = server.read_text(encoding="utf-8")
+        text = text.replace(
+            "\n\nclass ChipServer",
+            "\n\n_SEEDED_LOCK = threading.Lock()\n_SEEDED = 0.0\n"
+            "\n\nclass ChipServer",
+            1,
+        )
+        handler = "    def _op_advance_time(self, flags, seconds):\n"
+        assert handler in text
+        text = text.replace(
+            handler,
+            handler + "        global _SEEDED\n"
+            "        import time\n"
+            "        _SEEDED = time.time()\n",
+        )
+        server.write_text(text, encoding="utf-8")
+        findings = run_lint([tmp_path / "src"], root=tmp_path).findings
+        seeded = {
+            f.rule for f in findings
+            if f.path == "src/repro/onfi/server.py"
+            and f.symbol == "ChipServer._op_advance_time"
+        }
+        assert seeded == {"DET001", "DET002", "CONC001"}
 
     def test_full_analysis_stays_under_budget(self):
         result = run_lint([REPO / "src"], root=REPO)

@@ -339,6 +339,60 @@ class TestOnfiDispatch:
         assert codes(findings) == ["DET001"]
         assert findings[0].path == "src/repro/clockutil.py"
 
+    def test_getattr_built_handler_table_is_reachable(self, project):
+        # A handler table built by name at module level (no dict literal
+        # in the class body) still wires every method with the
+        # f-string's literal prefix into the dispatch's reachable set.
+        # The helper's sink is its own module state outside every scope
+        # package, so both findings depend on that reachability alone.
+        root = project({
+            "src/repro/clockutil.py": src(
+                """
+                import time
+
+                _LAST = [0.0]
+
+                def stamp(x):
+                    _LAST[0] = time.time()
+                    return x
+                """
+            ),
+            "src/repro/onfi/server.py": src(
+                """
+                from repro.clockutil import stamp
+
+                OPS = ("read", "erase")
+
+                class ChipServer:
+                    def handle_frame(self, opcode, flags, tag, payload):
+                        handler = self._HANDLERS[opcode]
+                        return handler(self, payload)
+
+                    def _op_read(self, payload):
+                        return payload
+
+                    def _op_erase(self, payload):
+                        stamp(payload)
+                        return b""
+
+                ChipServer._HANDLERS = {
+                    op: getattr(ChipServer, f"_op_{op}") for op in OPS
+                }
+                """
+            ),
+            "src/repro/driver.py": src(
+                """
+                from repro.onfi.server import ChipServer
+
+                def drive(frame):
+                    return ChipServer().handle_frame(*frame)
+                """
+            ),
+        })
+        findings = lint(root)
+        assert sorted(codes(findings)) == ["DET001", "DET002"]
+        assert {f.path for f in findings} == {"src/repro/clockutil.py"}
+
     def test_client_call_sites_are_dispatches(self, project):
         # The RemoteChip issue points (_call/_post) seed reachability
         # from any module importing repro.onfi.
