@@ -17,12 +17,17 @@ shape every fleet/adversary experiment issues:
   the cache-effectiveness control for ``read_repeat``;
 - ``partial_program``: repeated PP pulses on one page (the Algorithm 1
   inner op);
+- ``pp_locations``: microseconds per row of one PP pulse over many
+  ``(block, page)`` locations (``partial_program_locations``), at batch
+  1 (one call per row) and batch 500, on fleet-sized pages — the shape
+  of a fleet embed step;
 - ``cycle``: one real program/erase cycle with pseudorandom data;
 - ``mixed_embed_extract``: an end-to-end scenario — program a block,
   VT-HI-embed hidden bits into every page, bake, extract them back.
 
 Every run first verifies the batch ops are bit-identical to the
-single-page loops (voltages, probe, readback and ``OpCounters``).
+single-page loops (voltages, probe, readback and ``OpCounters``; PP
+pulse counts and disturb exposure too for the cross-block PP kernel).
 
 Usage::
 
@@ -53,6 +58,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.crypto.keys import HidingKey
+from repro.fleet.service import fleet_model
 from repro.hiding import STANDARD_CONFIG, VtHi
 from repro.nand import BENCH_MODEL, TEST_MODEL, FlashChip, bake
 from repro.rng import substream
@@ -75,6 +81,9 @@ BEFORE_FLOORS = {
     "read_batch": 5.0,
     "read_repeat": 10.0,
 }
+
+#: Hidden cells pulsed per row of the ``pp_locations`` rows.
+PP_ROW_CELLS = 300
 
 #: Cache-effectiveness floors checked in ``--tiny`` CI smoke mode:
 #: (slow control, cached path) -> minimum speedup of the cached path.
@@ -144,9 +153,68 @@ def verify_batch_equivalence(model) -> None:
         np.stack([loop_chip.read_page(0, p) for p in pages]),
         err_msg="read_pages diverged from the read_page loop",
     )
+    # The cross-block PP kernel: rows spanning two blocks, adjacent
+    # pages of one block, a duplicate cell index and an empty row.
+    rng = substream(5, "bench-chip-pp")
+    locations = [(0, 1), (1, 0), (0, 2), (1, 3), (0, 0)]
+    rows = [
+        rng.choice(geometry.cells_per_page, size=64, replace=False)
+        for _ in locations
+    ]
+    rows[1] = np.append(rows[1], rows[1][0])
+    rows[3] = rows[3][:0]
+    for _ in range(2):
+        batch_chip.partial_program_locations(locations, rows, fraction=1.2)
+        for (block, page), row in zip(locations, rows):
+            loop_chip.partial_program(block, page, row, fraction=1.2)
+    for block in (0, 1):
+        for field in ("voltages", "page_pp_pulses", "page_exposure"):
+            np.testing.assert_array_equal(
+                getattr(batch_chip._block(block), field),
+                getattr(loop_chip._block(block), field),
+                err_msg=f"partial_program_locations diverged from the "
+                f"partial_program loop ({field})",
+            )
     assert _counters_tuple(batch_chip) == _counters_tuple(loop_chip), (
         "batched ops accounted different OpCounters than the loops"
     )
+
+
+def time_pp_locations(repeats) -> dict:
+    """Microseconds per row of ``partial_program_locations`` at batch 1
+    and batch 500 on fleet-sized pages (125 blocks of 4 pages)."""
+    model = fleet_model(125)
+    geometry = model.geometry
+    locations = [
+        (block, page)
+        for block in range(geometry.n_blocks)
+        for page in range(geometry.pages_per_block)
+    ]
+    rng = substream(6, "bench-chip-pp-rows")
+    rows = [
+        rng.choice(geometry.cells_per_page, size=PP_ROW_CELLS, replace=False)
+        for _ in locations
+    ]
+    chip = _fresh_chip(model)
+    chip.partial_program_locations(locations, rows)  # warm response caches
+
+    def batch_one():
+        for location, row in zip(locations, rows):
+            chip.partial_program_locations([location], [row])
+
+    def batch_all():
+        chip.partial_program_locations(locations, rows)
+
+    return {
+        "rows": len(locations),
+        "cells_per_row": PP_ROW_CELLS,
+        "us_per_row_batch1": round(
+            _time(batch_one, repeats) / len(locations) * 1e6, 2
+        ),
+        "us_per_row_batch500": round(
+            _time(batch_all, repeats) / len(locations) * 1e6, 2
+        ),
+    }
 
 
 def collect(params) -> dict:
@@ -291,6 +359,7 @@ def collect(params) -> dict:
     record("mixed_embed_extract", _time(mixed, repeats), len(pages))
 
     return {
+        "pp_locations": time_pp_locations(repeats),
         "machine": {
             "cpu_count": os.cpu_count(),
             "platform": platform.platform(),
@@ -364,6 +433,12 @@ def main(argv=None) -> int:
             f"({entry['pages_per_s']:.0f} pages/s, "
             f"{entry['mb_per_s']:.1f} MB/s)"
         )
+    pp = report["pp_locations"]
+    print(
+        f"  pp_locations: {pp['us_per_row_batch1']} us/row at batch 1, "
+        f"{pp['us_per_row_batch500']} us/row at batch 500 "
+        f"({pp['cells_per_row']} cells/row)"
+    )
     if tiny:
         check_tiny_floors(report)
         print("tiny chip smoke OK (batch == scalar, floors hold)")

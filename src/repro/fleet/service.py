@@ -36,8 +36,9 @@ import numpy as np
 
 from .. import obs
 from ..crypto.keys import HidingKey
-from ..hiding import STANDARD_CONFIG, VtHi, select_cells
+from ..hiding import STANDARD_CONFIG, VtHi
 from ..hiding.config import HidingConfig
+from ..hiding.selection import cell_order, filter_order
 from ..nand import FlashChip
 from ..nand.vendor import VENDOR_A, ChipModel, scaled_model
 from ..rng import derive_seed, substream
@@ -144,9 +145,13 @@ class TenantState:
     free_pages: List[int] = field(default_factory=list)
     #: Host page -> cover (public) bits programmed this epoch.
     cover_bits: Dict[int, np.ndarray] = field(default_factory=dict)
-    #: Host page -> cached selection map for this epoch (a pure function
-    #: of key, page address and cover bits — caching touches no chip
-    #: state and is shared by both schedulers).
+    #: Host page -> its full keyed cell order (a pure function of key
+    #: and page address, so it survives rebuilds: a rebuild changes the
+    #: cover bits, never the key or the block).
+    order: Dict[int, np.ndarray] = field(default_factory=dict)
+    #: Host page -> cached selection map for this epoch (the order
+    #: filtered by the cover bits — caching touches no chip state and is
+    #: shared by both schedulers).
     cells: Dict[int, np.ndarray] = field(default_factory=dict)
 
 
@@ -307,12 +312,25 @@ class FleetService:
         obs.get_registry().absorb(harvest)
 
     def _selection(self, ts: TenantState, page: int) -> np.ndarray:
-        """The cached selection map of one tenant host page."""
+        """The cached selection map of one tenant host page.
+
+        Equal to ``select_cells`` on the page's cover bits; the keyed
+        walk runs once per tenant host page, every later epoch only
+        re-filters the cached order.  Both caches hold the smallest
+        unsigned dtype that indexes a page (``uint16`` on fleet pages).
+        """
         cells = ts.cells.get(page)
         if cells is None:
-            address = self.model.geometry.page_address(ts.block, page)
-            cells = select_cells(
-                ts.key, address, ts.cover_bits[page], self._coded_len
+            geometry = self.model.geometry
+            address = geometry.page_address(ts.block, page)
+            order = ts.order.get(page)
+            if order is None:
+                n_cells = geometry.cells_per_page
+                order = cell_order(ts.key, address, n_cells, n_cells)
+                order = order.astype(np.min_scalar_type(n_cells - 1))
+                ts.order[page] = order
+            cells = filter_order(
+                order, ts.cover_bits[page], self._coded_len, address
             )
             ts.cells[page] = cells
         return cells

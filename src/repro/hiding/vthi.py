@@ -137,14 +137,11 @@ class VtHi:
     ) -> List[EmbedStats]:
         """Embed hidden bits into several pages of one block at once.
 
-        Runs Algorithm 1's read-PP loop *step-synchronised* across the
-        pages: each iteration issues one
-        :meth:`~repro.nand.chip.FlashChip.probe_voltages_batch` over every
-        page still converging, then pulses each page's remaining cells.
-        Per-page outcomes are bit-identical to embedding the pages one
-        after another (pulse randomness, probe values and step counts are
-        all per-page state), but the probe — the embed hot path — runs as
-        one vectorised chip op per step instead of one per page per step.
+        Selects each page's cells, then runs Algorithm 1's read-PP loop
+        through :meth:`embed_prepared`, step-synchronised across the
+        pages.  Per-page outcomes are bit-identical to embedding the
+        pages one after another (pulse randomness, probe values and step
+        counts are all per-page state).
         """
         if len(hidden_bits) != len(pages):
             raise ValueError(
@@ -168,12 +165,7 @@ class VtHi:
                     f"{bits.shape}"
                 )
             all_bits.append(bits)
-        for page in pages:
-            if not self.chip.is_page_programmed(block, page):
-                raise SelectionError(
-                    f"page {page} of block {block} holds no public data; "
-                    "VT-HI hides inside public data (§5.1)"
-                )
+        self._check_programmed([(block, page) for page in pages])
         addresses = [
             self.chip.geometry.page_address(block, page) for page in pages
         ]
@@ -186,50 +178,28 @@ class VtHi:
                 key, addresses[i], public, all_bits[i].size
             )
             zero_cells.append(cells[all_bits[i] == 0])
-        target = self.config.threshold + self.config.guard
-        steps = [0] * len(pages)
-        below = list(zero_cells)
-        active = list(range(len(pages)))
         with obs.span("vthi.embed", block=block, pages=len(pages)):
-            for _ in range(self.config.pp_steps):
-                if not active:
-                    break
-                probe_pages = [pages[i] for i in active]
-                voltages = self.chip.probe_voltages_batch(
-                    block, probe_pages
-                )
-                still_active = []
-                for row, i in enumerate(active):
-                    below[i] = zero_cells[i][
-                        voltages[row, zero_cells[i]] < target
-                    ]
-                    if below[i].size == 0:
-                        continue
-                    self.chip.partial_program(
-                        block,
-                        pages[i],
-                        below[i],
-                        fraction=self.config.pp_fraction,
-                        precision=self.config.pp_precision,
-                    )
-                    steps[i] += 1
-                    still_active.append(i)
-                active = still_active
-        _OBS_EMBED_PAGES.inc(len(pages))
-        _OBS_EMBED_PP_STEPS.inc(sum(steps))
-        if obs.is_enabled():
-            for count in steps:
-                _OBS_STEPS_HIST.observe(count)
+            outcomes = self.embed_prepared(
+                [(block, page, cells) for page, cells in zip(pages, zero_cells)]
+            )
         return [
             EmbedStats(
                 page_address=addresses[i],
                 n_hidden_bits=int(all_bits[i].size),
                 n_zero_bits=int(zero_cells[i].size),
-                pp_steps_used=steps[i],
-                cells_left_below=int(below[i].size),
+                pp_steps_used=steps,
+                cells_left_below=left,
             )
-            for i in range(len(pages))
+            for i, (steps, left) in enumerate(outcomes)
         ]
+
+    def _check_programmed(self, locations: Sequence[tuple]) -> None:
+        for block, page in locations:
+            if not self.chip.is_page_programmed(block, page):
+                raise SelectionError(
+                    f"page {page} of block {block} holds no public data; "
+                    "VT-HI hides inside public data (§5.1)"
+                )
 
     def embed_prepared(
         self, items: Sequence[tuple]
@@ -239,14 +209,16 @@ class VtHi:
         Each item is ``(block, page, zero_cells)`` — the hidden-'0' cell
         indices the caller already derived from its selection map (a
         multi-tenant service computes those under per-tenant keys).  The
-        loop runs step-synchronised like :meth:`embed_pages`, but each
-        step's probe is one
+        loop runs step-synchronised: each step is one
         :meth:`~repro.nand.chip.FlashChip.probe_voltages_locations` call
-        spanning blocks.  Per-item outcomes — probe values, pulse
-        randomness, step counts — are bit-identical to embedding each
-        item alone, in any grouping: every input to the loop (voltages,
-        PP pulse streams, pulse counts) is per-(block, page) state, and
-        items in one batch never share a page.
+        over every item still converging, then one
+        :meth:`~repro.nand.chip.FlashChip.partial_program_locations`
+        pulse over every item with cells still below the target.  An item
+        with no hidden '0' is never probed.  Per-item outcomes — probe
+        values, pulse randomness, step counts — are bit-identical to
+        embedding each item alone, in any grouping: every input to the
+        loop (voltages, PP pulse streams, pulse counts) is per-(block,
+        page) state, and items in one batch never share a page.
 
         Returns ``(pp_steps_used, cells_left_below)`` per item.
         """
@@ -254,12 +226,7 @@ class VtHi:
             (int(block), int(page), np.asarray(cells, dtype=np.int64))
             for block, page, cells in items
         ]
-        for block, page, _ in prepared:
-            if not self.chip.is_page_programmed(block, page):
-                raise SelectionError(
-                    f"page {page} of block {block} holds no public data; "
-                    "VT-HI hides inside public data (§5.1)"
-                )
+        self._check_programmed([item[:2] for item in prepared])
         target = self.config.threshold + self.config.guard
         steps = [0] * len(prepared)
         below = [cells for _, _, cells in prepared]
@@ -268,26 +235,24 @@ class VtHi:
             for _ in range(self.config.pp_steps):
                 if not active:
                     break
-                locations = [prepared[i][:2] for i in active]
-                voltages = self.chip.probe_voltages_locations(locations)
-                still_active = []
+                voltages = self.chip.probe_voltages_locations(
+                    [prepared[i][:2] for i in active]
+                )
                 for row, i in enumerate(active):
                     zero_cells = prepared[i][2]
                     below[i] = zero_cells[
                         voltages[row, zero_cells] < target
                     ]
-                    if below[i].size == 0:
-                        continue
-                    self.chip.partial_program(
-                        prepared[i][0],
-                        prepared[i][1],
-                        below[i],
+                active = [i for i in active if below[i].size]
+                if active:
+                    self.chip.partial_program_locations(
+                        [prepared[i][:2] for i in active],
+                        [below[i] for i in active],
                         fraction=self.config.pp_fraction,
                         precision=self.config.pp_precision,
                     )
+                for i in active:
                     steps[i] += 1
-                    still_active.append(i)
-                active = still_active
         _OBS_EMBED_PAGES.inc(len(prepared))
         _OBS_EMBED_PP_STEPS.inc(sum(steps))
         if obs.is_enabled():

@@ -125,6 +125,24 @@ def check_locations(geometry: ChipGeometry, locations: Sequence) -> list:
     return locs
 
 
+def check_pp_rows(
+    geometry: ChipGeometry, locations: Sequence, cells: Sequence
+) -> tuple:
+    """Validate a partial-program batch -> ``([(block, page)], [cells])``.
+
+    The pure part of :meth:`FlashChip.partial_program_locations`'s
+    validation (locations as :func:`check_locations`, one cell list per
+    location), shared by the in-process chip and the wire client.
+    """
+    locs = check_locations(geometry, locations)
+    rows = [np.asarray(row, dtype=np.int64).reshape(-1) for row in cells]
+    if len(rows) != len(locs):
+        raise AddressError(
+            f"got {len(rows)} cell lists for {len(locs)} locations"
+        )
+    return locs, rows
+
+
 @dataclass(slots=True)
 class OpCounters:
     """Cumulative operation counts plus the time/energy they cost.
@@ -639,42 +657,88 @@ class FlashChip:
         the longer in-controller pulses only firmware can issue, §6.2),
         `precision` scales the pulse's spread — values below 1.0 model the
         finer in-controller programming §6.2 argues a vendor could provide.
+
+        A one-row :meth:`partial_program_locations`.
+        """
+        self.partial_program_locations(
+            [(block, page)], [cells], fraction=fraction, precision=precision
+        )
+
+    def partial_program_locations(
+        self,
+        locations: Sequence,
+        cells: Sequence[Sequence[int]],
+        fraction: float = 1.0,
+        precision: float = 1.0,
+    ) -> None:
+        """One partial-programming pulse at each ``(block, page)`` location.
+
+        Row ``i`` pulses cells ``cells[i]`` of ``locations[i]``.
+        Equivalent to ``for (b, p), c in zip(locations, cells):
+        partial_program(b, p, c, fraction, precision)``, except every row
+        is validated before any cell changes.  Each row keeps its own
+        pulse stream, keyed by ``(block, page, epoch, pulses so far)``
+        (seeds derived in one batched pass); the clip and the charge
+        product run once over the concatenated rows, and disturb
+        exposure lands row by row in list order, so every float sum
+        matches the serial loop's exactly.
         """
         if not 0.0 < fraction <= 2.0:
             raise ValueError(f"fraction must be in (0, 2], got {fraction}")
         if not 0.0 < precision <= 1.0:
             raise ValueError(f"precision must be in (0, 1], got {precision}")
-        state = self._block(block)
-        self.geometry.check_page(block, page)
-        if state.bad:
-            raise ProgramError(f"block {block} is marked bad")
-        cells = np.asarray(cells, dtype=np.int64)
-        if cells.size and (
-            cells.min() < 0 or cells.max() >= self.geometry.cells_per_page
-        ):
-            raise AddressError("partial_program cell index out of range")
+        locs, rows = check_pp_rows(self.geometry, locations, cells)
+        n_cells = self.geometry.cells_per_page
+        states = {block: self._block(block) for block, _ in locs}
+        flat = np.concatenate(rows)
+        # One range test over every row; the per-row test only runs to
+        # report the first offender in list order, as the serial loop.
+        stray = flat.size and (flat.min() < 0 or flat.max() >= n_cells)
+        for (block, _), row in zip(locs, rows):
+            if states[block].bad:
+                raise ProgramError(f"block {block} is marked bad")
+            if stray and row.size and (row.min() < 0 or row.max() >= n_cells):
+                raise AddressError("partial_program cell index out of range")
         pp = self.params.partial_program
-        response = self._pp_response(block, page)[cells]
-        pulse_rng = substream(
-            self.seed,
-            "pp-pulse",
-            block,
-            page,
-            state.erase_epoch,
-            int(state.page_pp_pulses[page]),
-        )
         mean = pp.pulse_mean * fraction
         std = pp.pulse_std * fraction * precision
-        pulses = pulse_rng.normal(mean, std, size=cells.size)
+        seeds = derive_seeds(
+            self.seed,
+            ("pp-pulse",),
+            [
+                (
+                    block,
+                    page,
+                    states[block].erase_epoch,
+                    int(states[block].page_pp_pulses[page]),
+                )
+                for block, page in locs
+            ],
+        ).tolist()
+        pulses = np.concatenate([
+            np.random.default_rng(seed).normal(mean, std, size=row.size)
+            for seed, row in zip(seeds, rows)
+        ])
         # Charge per pulse is bounded: clip to [0, mean + 2 std].
         np.clip(pulses, 0.0, mean + 2.0 * std, out=pulses)
-        state.voltages[page, cells] += (response * pulses).astype(np.float32)
-        state.invalidate_page_voltages(page)
-        state.page_pp_pulses[page] += 1
-        self._expose_neighbours(
-            state, page, self.params.disturb.pp_flip_prob * fraction
-        )
-        self._account("partial_program")
+        response = np.concatenate([
+            self._pp_response(block, page)[row]
+            for (block, page), row in zip(locs, rows)
+        ])
+        charge = (response * pulses).astype(np.float32)
+        flip_prob = self.params.disturb.pp_flip_prob * fraction
+        start = 0
+        for (block, page), row in zip(locs, rows):
+            state = states[block]
+            end = start + row.size
+            # Through the row view: 1-D fancy indexing is much faster
+            # than the (int, array) 2-D form, with the same semantics.
+            state.voltages[page][row] += charge[start:end]
+            start = end
+            state.invalidate_page_voltages(page)
+            state.page_pp_pulses[page] += 1
+            self._expose_neighbours(state, page, flip_prob)
+        self._account("partial_program", len(locs))
 
     # ------------------------------------------------------------------
     # wear helpers

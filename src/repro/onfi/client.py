@@ -39,7 +39,13 @@ from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..nand.chip import OpCounters, as_bits, check_locations, check_pages
+from ..nand.chip import (
+    OpCounters,
+    as_bits,
+    check_locations,
+    check_pages,
+    check_pp_rows,
+)
 from ..nand.errors import CommandError, ProgramError
 from ..nand.geometry import ChipGeometry
 from ..nand.onfi import Status
@@ -274,8 +280,8 @@ class RemoteChip:
         fraction: float = 1.0,
         precision: float = 1.0,
     ) -> None:
-        self._post(
-            Op.PARTIAL_PROGRAM, block, page, fraction, precision, cells
+        self.partial_program_locations(
+            [(block, page)], [cells], fraction=fraction, precision=precision
         )
 
     def partial_program_via_reset(
@@ -356,6 +362,23 @@ class RemoteChip:
         pairs = check_locations(self.geometry, locations)
         bits = self._stack_bits(data, len(pairs), "locations")
         self._post(Op.PROGRAM_LOCATIONS, pairs, bits)
+
+    def partial_program_locations(
+        self,
+        locations: Sequence[Tuple[int, int]],
+        cells: Sequence[Sequence[int]],
+        fraction: float = 1.0,
+        precision: float = 1.0,
+    ) -> None:
+        pairs, rows = check_pp_rows(self.geometry, locations, cells)
+        self._post(
+            Op.PARTIAL_PROGRAM_LOCATIONS,
+            fraction,
+            precision,
+            pairs,
+            [row.size for row in rows],
+            np.concatenate(rows),
+        )
 
     def _stack_bits(self, data: Iterable, count: int, noun: str) -> np.ndarray:
         """Canonicalise one payload per target page into a bit matrix."""

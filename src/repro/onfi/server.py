@@ -242,14 +242,6 @@ class ChipServer:
         self.chip.partial_program(block, page, cells, fraction=fraction)
         return ()
 
-    def _op_partial_program(
-        self, flags, block, page, fraction, precision, cells
-    ):
-        self.chip.partial_program(
-            block, page, cells, fraction=fraction, precision=precision
-        )
-        return ()
-
     def _op_set_read_threshold(self, flags, level):
         validate_threshold(level)
         self._read_threshold = level
@@ -282,6 +274,27 @@ class ChipServer:
 
     def _op_program_locations(self, flags, locations, bits):
         self.chip.program_locations(locations.tolist(), bits)
+        return ()
+
+    def _op_partial_program_locations(
+        self, flags, fraction, precision, locations, counts, cells
+    ):
+        if (
+            counts.size != len(locations)
+            or (counts < 0).any()
+            or (counts > cells.size).any()
+            or int(counts.sum()) != cells.size
+        ):
+            raise CommandError(
+                f"{counts.size} cell counts do not split {cells.size} "
+                f"cells over {len(locations)} locations"
+            )
+        self.chip.partial_program_locations(
+            locations.tolist(),
+            np.split(cells, np.cumsum(counts)[:-1]),
+            fraction=fraction,
+            precision=precision,
+        )
         return ()
 
     # -- admin -----------------------------------------------------------

@@ -188,7 +188,6 @@ class Op(IntEnum):
     PROGRAM =            0x80, (I64, I64, PAGE),       (),      FLAG_PARTIAL
     SET_READ_THRESHOLD = 0xC5, (OPT_F64,)
     PROBE_VOLTAGES =     0xC6, (I64, I64),             (PAGE,)
-    PARTIAL_PROGRAM =    0xC7, (I64, I64, F64, F64, I64_ARRAY)
     RESET =              0xFF, (OPT_F64,)
     # -- coalesced batches (one frame per batch op) ------------------------
     READ_PAGES =         0xB0, (I64, I64_ARRAY),       (ROWS,), FLAG_THRESHOLD
@@ -197,6 +196,10 @@ class Op(IntEnum):
     READ_LOCATIONS =     0xB3, (LOCATIONS,),           (ROWS,), FLAG_THRESHOLD
     PROBE_LOCATIONS =    0xB4, (LOCATIONS,),           (ROWS,)
     PROGRAM_LOCATIONS =  0xB5, (LOCATIONS, ROWS)
+    # fraction, precision, locations, per-location cell counts, the
+    # locations' cell indices concatenated in location order.
+    PARTIAL_PROGRAM_LOCATIONS = (
+                         0xB6, (F64, F64, LOCATIONS, I64_ARRAY, I64_ARRAY))
     # -- admin -------------------------------------------------------------
     # HELLO requests capability bits and answers (blocks, pages/block,
     # cells/page, bytes/page, seed, clock, accepted capability bits).

@@ -22,13 +22,16 @@ import numpy as np
 SeedPart = Union[int, str, bytes]
 
 
+_INT_LENGTH = (16).to_bytes(4, "little")
+
+
 def _encode_part(part: SeedPart) -> bytes:
+    if isinstance(part, (int, np.integer)):
+        return _INT_LENGTH + int(part).to_bytes(16, "little", signed=True)
     if isinstance(part, bytes):
         encoded = part
     elif isinstance(part, str):
         encoded = part.encode("utf-8")
-    elif isinstance(part, (int, np.integer)):
-        encoded = int(part).to_bytes(16, "little", signed=True)
     else:
         raise TypeError(f"unsupported seed part type: {type(part)!r}")
     return len(encoded).to_bytes(4, "little") + encoded
@@ -50,16 +53,18 @@ def derive_seed(root: int, *parts: SeedPart) -> int:
 def derive_seeds(
     root: int,
     prefix: Sequence[SeedPart],
-    varying: Iterable[SeedPart],
+    varying: Iterable[Union[SeedPart, tuple]],
     suffix: Sequence[SeedPart] = (),
 ) -> np.ndarray:
     """Derive many substream seeds that differ in one label position.
 
     Returns a uint64 array where entry ``i`` equals
-    ``derive_seed(root, *prefix, varying[i], *suffix)``.  The shared
-    ``(root, *prefix)`` portion is hashed once and forked per element
-    (``hasher.copy()``), so deriving a block's worth of per-page seeds is
-    one pass instead of a SHA-256 from scratch per page.
+    ``derive_seed(root, *prefix, varying[i], *suffix)``; a tuple entry
+    stands for several consecutive parts (``derive_seed(root, *prefix,
+    *varying[i], *suffix)``).  The shared ``(root, *prefix)`` portion is
+    hashed once and forked per element (``hasher.copy()``), so deriving
+    a block's worth of per-page seeds is one pass instead of a SHA-256
+    from scratch per page.
     """
     base = hashlib.sha256()
     base.update(int(root).to_bytes(16, "little", signed=True))
@@ -69,7 +74,10 @@ def derive_seeds(
     seeds: list = []
     for part in varying:
         hasher = base.copy()
-        hasher.update(_encode_part(part))
+        if isinstance(part, tuple):
+            hasher.update(b"".join(map(_encode_part, part)))
+        else:
+            hasher.update(_encode_part(part))
         hasher.update(tail)
         seeds.append(int.from_bytes(hasher.digest()[:8], "little"))
     return np.asarray(seeds, dtype=np.uint64)

@@ -22,6 +22,8 @@ from repro.fleet import (
     WorkloadConfig,
     generate_requests,
 )
+from repro.hiding import select_cells
+from repro.hiding.selection import cell_order
 
 SETTINGS = dict(max_examples=8, deadline=None)
 
@@ -263,3 +265,48 @@ class TestReplayDeterminism:
         # float totals too: same submission order => bit-equal floats
         assert snap_a.op_counters.busy_time_s == snap_b.op_counters.busy_time_s
         assert snap_a.op_counters.energy_j == snap_b.op_counters.energy_j
+
+
+class TestSelectionCache:
+    """The keyed order is cached per tenant host page across rebuilds;
+    only the per-epoch filter reruns, and it still equals a fresh
+    selection on the current cover."""
+
+    @settings(**SETTINGS)
+    @given(seed=st.integers(0, 2**16), rounds=st.integers(2, 4))
+    def test_order_survives_rebuilds(self, seed, rounds):
+        service = FleetService(FleetConfig(tenants=6, n_shards=2, seed=9))
+        geometry = service.model.geometry
+        orders = {}
+        for k in range(rounds):
+            workload = WorkloadConfig(
+                tenants=6, ops_per_tenant=4, seed=seed + k,
+                lba_space=2, mix=(1.0, 0.0, 0.0),
+            )
+            for request in generate_requests(workload):
+                assert service.submit(request)
+            service.drain(CoalescingScheduler())
+            for ts in service.tenants.values():
+                for page, order in ts.order.items():
+                    key = (ts.tenant, page)
+                    if key in orders:
+                        assert order is orders[key]
+                    orders[key] = order
+        for ts in service.tenants.values():
+            assert ts.epoch >= rounds - 1  # every tenant rebuilt
+            for page, order in ts.order.items():
+                address = geometry.page_address(ts.block, page)
+                n = geometry.cells_per_page
+                np.testing.assert_array_equal(
+                    order, cell_order(ts.key, address, n, n)
+                )
+                assert order.dtype == np.uint16
+            for page, cells in ts.cells.items():
+                address = geometry.page_address(ts.block, page)
+                np.testing.assert_array_equal(
+                    cells,
+                    select_cells(
+                        ts.key, address, ts.cover_bits[page],
+                        service._coded_len,
+                    ),
+                )

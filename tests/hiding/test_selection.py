@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto import HidingKey
+from repro.crypto.prng import KeyedPrng
 from repro.hiding import SelectionError, select_cells
+from repro.hiding.selection import cell_order, filter_order
 
 KEY = HidingKey.generate(b"sel")
 
@@ -133,3 +135,121 @@ def test_matches_reference_index_stream_walk(seed):
             if len(chosen) == count:
                 break
     np.testing.assert_array_equal(fast, np.asarray(chosen, dtype=np.int64))
+
+
+def reference_selection(key, page_address, bits, count):
+    """The straightforward ``KeyedPrng.index_stream`` walk."""
+    chosen = []
+    if count:
+        prng = key.selection_prng().for_page(page_address)
+        for offset in prng.index_stream(bits.size):
+            if bits[offset] == 1:
+                chosen.append(offset)
+                if len(chosen) == count:
+                    break
+    return np.asarray(chosen, dtype=np.int64)
+
+
+@given(
+    address=st.integers(min_value=0, max_value=10_000),
+    cover_seeds=st.lists(
+        st.integers(min_value=0, max_value=10_000), min_size=2, max_size=5
+    ),
+    ones_fraction=st.floats(min_value=0.2, max_value=0.9),
+)
+@settings(max_examples=20, deadline=None)
+def test_cached_order_filter_equals_select_cells(
+    address, cover_seeds, ones_fraction
+):
+    """One walk per page serves every cover of it: filtering the cached
+    full order equals a fresh selection and the reference walk."""
+    n = 600
+    order = cell_order(KEY, address, n, n)
+    assert sorted(order.tolist()) == list(range(n))
+    for cover_seed in cover_seeds:
+        bits = bits_with_ones(n, ones_fraction, seed=cover_seed)
+        count = min(int(bits.sum()), 1 + cover_seed % 300)
+        picked = filter_order(order, bits, count, address)
+        np.testing.assert_array_equal(
+            picked, select_cells(KEY, address, bits, count)
+        )
+        np.testing.assert_array_equal(
+            picked, reference_selection(KEY, address, bits, count)
+        )
+
+
+def test_order_prefixes_agree():
+    full = cell_order(KEY, 7, 300, 300)
+    np.testing.assert_array_equal(cell_order(KEY, 7, 300, 40), full[:40])
+    assert cell_order(KEY, 7, 300, 0).size == 0
+    with pytest.raises(ValueError):
+        cell_order(KEY, 7, 300, 301)
+
+
+def test_filter_order_rejects_short_pages():
+    bits = np.zeros(256, dtype=np.uint8)
+    bits[:10] = 1
+    order = cell_order(KEY, 0, 256, 256)
+    with pytest.raises(SelectionError) as filtered:
+        filter_order(order, bits, 11, 0)
+    with pytest.raises(SelectionError) as walked:
+        select_cells(KEY, 0, bits, 11)
+    assert str(filtered.value) == str(walked.value)
+
+
+class InjectingPrng(KeyedPrng):
+    """A keystream whose listed 64-bit words read 2**64 - 1.
+
+    That value lies above the rejection limit of every bound that is
+    not a power of two, so each listed word is rejected by the walk —
+    a branch real keystreams reach with probability ~1e-16 per draw.
+    """
+
+    words: frozenset = frozenset()
+
+    def __init__(self, key, context=b""):
+        super().__init__(key, context)
+        self._position = 0
+
+    def derive(self, label):
+        return InjectingPrng(self._key, self._context + b"/" + bytes(label))
+
+    def bytes(self, n):
+        out = bytearray(super().bytes(n))
+        for k in range(n):
+            if (self._position + k) // 8 in self.words:
+                out[k] = 0xFF
+        self._position += n
+        return bytes(out)
+
+
+@pytest.mark.parametrize(
+    "words",
+    [
+        {3},
+        {3, 4, 5},  # consecutive rejections
+        {0, 250, 251, 480},  # first word, and words a lazy walk extends to
+    ],
+)
+def test_rejected_words_are_skipped_like_the_reference(monkeypatch, words):
+    clean_order = cell_order(KEY, 9, 500, 500)
+    monkeypatch.setattr(InjectingPrng, "words", frozenset(words))
+    monkeypatch.setattr(
+        HidingKey,
+        "selection_prng",
+        lambda key: InjectingPrng(key._subkey(b"selection")),
+    )
+    reference = KEY.selection_prng().for_page(9)
+    expected = list(reference.index_stream(500))
+    order = cell_order(KEY, 9, 500, 500)
+    assert order.tolist() == expected
+    assert not np.array_equal(order, clean_order)  # rejections happened
+    # Sparse covers make select_cells extend its prefix across the
+    # injected words.
+    for ones_fraction in (0.1, 0.5):
+        bits = bits_with_ones(500, ones_fraction, seed=len(words))
+        count = int(bits.sum()) // 2
+        np.testing.assert_array_equal(
+            select_cells(KEY, 9, bits, count),
+            reference_selection(KEY, 9, bits, count),
+        )

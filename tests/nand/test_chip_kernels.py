@@ -10,14 +10,19 @@ the rebuild relies on:
 * cached latent fields (leakage, disturb, effective rows, PP response)
   never survive an erase and always equal a cold recompute;
 * ``cycle_block`` equals the explicit erase + per-page program loop it
-  replaced, pattern draws and wear accounting included.
+  replaced, pattern draws and wear accounting included;
+* ``partial_program_locations`` equals the per-page pulse loop it
+  batches (an explicit reference implementation below), and a batch
+  with one bad row anywhere changes nothing.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nand import TEST_MODEL, FlashChip
+from repro.nand.errors import NandError
 from repro.rng import substream
 
 GEOMETRY = TEST_MODEL.geometry
@@ -235,3 +240,181 @@ def test_erased_pages_read_all_ones_when_fresh():
     chip = fresh_chip(5)
     bits = chip.read_pages(0, range(PAGES_PER_BLOCK))
     assert (bits == 1).all()
+
+
+# ----------------------------------------------------------------------
+# partial_program_locations == the per-page pulse loop
+
+N_BLOCKS = 3
+
+
+def reference_partial_program(chip, block, page, cells, fraction, precision):
+    """One PP pulse, spelled out serially (the pre-batching kernel)."""
+    if not 0.0 < fraction <= 2.0:
+        raise ValueError(f"fraction must be in (0, 2], got {fraction}")
+    if not 0.0 < precision <= 1.0:
+        raise ValueError(f"precision must be in (0, 1], got {precision}")
+    state = chip._block(block)
+    chip.geometry.check_page(block, page)
+    cells = np.asarray(cells, dtype=np.int64)
+    pp = chip.params.partial_program
+    response = chip._pp_response(block, page)[cells]
+    pulse_rng = substream(
+        chip.seed, "pp-pulse", block, page, state.erase_epoch,
+        int(state.page_pp_pulses[page]),
+    )
+    mean = pp.pulse_mean * fraction
+    std = pp.pulse_std * fraction * precision
+    pulses = pulse_rng.normal(mean, std, size=cells.size)
+    np.clip(pulses, 0.0, mean + 2.0 * std, out=pulses)
+    state.voltages[page, cells] += (response * pulses).astype(np.float32)
+    state.invalidate_page_voltages(page)
+    state.page_pp_pulses[page] += 1
+    chip._expose_neighbours(
+        state, page, chip.params.disturb.pp_flip_prob * fraction
+    )
+    chip._account("partial_program")
+
+
+def chip_state(chip):
+    """Everything a PP pulse may touch, for exact comparison."""
+    blocks = [chip._block(b) for b in range(N_BLOCKS)]
+    return (
+        [state.voltages.copy() for state in blocks],
+        [state.page_pp_pulses.copy() for state in blocks],
+        [state.page_exposure.copy() for state in blocks],
+        counters_tuple(chip),
+    )
+
+
+def assert_same_state(a, b):
+    for rows_a, rows_b in zip(a[:3], b[:3]):
+        for x, y in zip(rows_a, rows_b):
+            np.testing.assert_array_equal(x, y)
+    assert a[3] == b[3]
+
+
+def prepared_chip(seed, pec):
+    """A chip with programmed pages and some prior PP history."""
+    chip = fresh_chip(seed)
+    for block in range(N_BLOCKS):
+        chip.age_block(block, pec)
+        chip.program_pages(
+            block, range(PAGES_PER_BLOCK),
+            [pattern(seed + block, p) for p in range(PAGES_PER_BLOCK)],
+        )
+    chip.partial_program(0, 1, [2, 4, 6], fraction=0.7)
+    return chip
+
+
+pp_rows = st.lists(
+    st.tuples(
+        st.integers(0, N_BLOCKS - 1),
+        st.integers(0, PAGES_PER_BLOCK - 1),
+        # Small index range: duplicates within a row are common.
+        st.lists(st.integers(0, 40), max_size=12),
+    ),
+    min_size=1,
+    max_size=10,
+    unique_by=lambda row: row[:2],
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    rows=pp_rows,
+    fraction=st.floats(0.05, 2.0),
+    precision=st.floats(0.05, 1.0),
+    pulses=st.integers(1, 3),
+    pec=st.integers(0, 2500),
+    seed=st.integers(0, 2**16),
+)
+def test_partial_program_locations_equals_serial_loop(
+    rows, fraction, precision, pulses, pec, seed
+):
+    """Voltages, pulse counts, exposure and counters, float-exact."""
+    locations = [row[:2] for row in rows]
+    cells = [row[2] for row in rows]
+    batch, serial, reference = (prepared_chip(seed, pec) for _ in range(3))
+    for _ in range(pulses):
+        batch.partial_program_locations(
+            locations, cells, fraction=fraction, precision=precision
+        )
+        for (block, page), row in zip(locations, cells):
+            serial.partial_program(
+                block, page, row, fraction=fraction, precision=precision
+            )
+            reference_partial_program(
+                reference, block, page, row, fraction, precision
+            )
+    assert_same_state(chip_state(batch), chip_state(reference))
+    assert_same_state(chip_state(serial), chip_state(reference))
+
+
+def test_partial_program_locations_fixed_shapes():
+    """Rows spanning blocks, adjacent pages of one block (their disturb
+    exposure lands on each other), duplicate indices, empty rows."""
+    locations = [(0, 3), (2, 0), (0, 4), (1, 7), (0, 5)]
+    cells = [[1, 9, 9, 1, 30], [], [5, 6, 7], [0, 0, 0], []]
+    batch, reference = prepared_chip(5, 900), prepared_chip(5, 900)
+    batch.partial_program_locations(locations, cells, fraction=1.3)
+    for (block, page), row in zip(locations, cells):
+        reference_partial_program(reference, block, page, row, 1.3, 1.0)
+    assert_same_state(chip_state(batch), chip_state(reference))
+    # Page 4 of block 0 sits between two pulsed pages: two exposures.
+    flip = TEST_MODEL.params.disturb.pp_flip_prob * 1.3
+    assert batch._block(0).page_exposure[4] >= 2 * flip
+
+
+BAD_ROWS = {
+    "page out of range": ((0, PAGES_PER_BLOCK), [1]),
+    "block out of range": ((GEOMETRY.n_blocks, 0), [1]),
+    "negative cell": ((2, 6), [3, -1]),
+    "cell out of range": ((2, 6), [CELLS]),
+    "bad block": ((1, 2), [1]),
+}
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(BAD_ROWS)),
+    position=st.integers(0, 4),
+)
+def test_bad_row_anywhere_leaves_chip_untouched(kind, position):
+    """Every row is validated before any cell changes; the error is the
+    one the serial loop raises first."""
+    locations = [(0, 0), (0, 2), (2, 3), (2, 5)]
+    cells = [[1, 2], [3], [], [4, 4]]
+    bad_location, bad_cells = BAD_ROWS[kind]
+    locations.insert(position, bad_location)
+    cells.insert(position, bad_cells)
+    chip, serial = prepared_chip(3, 0), prepared_chip(3, 0)
+    for c in (chip, serial):
+        c._block(1).bad = True
+    before = chip_state(chip)
+    with pytest.raises(NandError) as batch_error:
+        chip.partial_program_locations(locations, cells)
+    assert_same_state(chip_state(chip), before)
+    with pytest.raises(NandError) as serial_error:
+        for (block, page), row in zip(locations, cells):
+            serial.partial_program(block, page, row)
+    assert type(batch_error.value) is type(serial_error.value)
+    assert str(batch_error.value) == str(serial_error.value)
+
+
+@pytest.mark.parametrize(
+    "locations, cells, kwargs",
+    [
+        ([(0, 0), (0, 0)], [[1], [2]], {}),
+        ([(0, 0), (0, 1)], [[1]], {}),
+        ([], [], {}),
+        ([(0, 0)], [[1]], {"fraction": 2.5}),
+        ([(0, 0)], [[1]], {"precision": 0.0}),
+    ],
+)
+def test_malformed_batch_leaves_chip_untouched(locations, cells, kwargs):
+    chip = prepared_chip(4, 0)
+    before = chip_state(chip)
+    with pytest.raises((NandError, ValueError)):
+        chip.partial_program_locations(locations, cells, **kwargs)
+    assert_same_state(chip_state(chip), before)

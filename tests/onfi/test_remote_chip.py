@@ -99,6 +99,50 @@ def test_partial_program_identical(remote, local):
     )
 
 
+def test_partial_program_locations_identical(remote, local, geometry):
+    """One PP frame over rows spanning blocks, with duplicate indices
+    and an empty row, equals the in-process kernel."""
+    locations = [(0, 1), (3, 0), (0, 2), (5, 7)]
+    cells = [[3, 17, 17, 902], [], np.array([8000, 1]), [0]]
+    for chip in (local, remote):
+        chip.program_page(3, 0, page_bits(geometry, 1))
+        chip.partial_program_locations(
+            locations, cells, fraction=1.4, precision=0.6
+        )
+    sent = remote.sent_ops.get(int(Op.PARTIAL_PROGRAM_LOCATIONS))
+    assert sent == 1
+    assert np.array_equal(
+        local.probe_voltages_locations(locations),
+        remote.probe_voltages_locations(locations),
+    )
+    assert local.counters == remote.counters
+
+
+def test_partial_program_locations_error_parity(remote, local):
+    operations = [
+        lambda c: c.partial_program_locations([(0, 0), (0, 0)], [[1], [2]]),
+        lambda c: c.partial_program_locations([(0, 0), (0, 1)], [[1]]),
+        lambda c: c.partial_program_locations([(0, 0), (1, 99)], [[1], [2]]),
+        lambda c: c.partial_program_locations([(0, 0), (1, 0)], [[1], [-4]]),
+        lambda c: c.partial_program_locations(
+            [(0, 0)], [[1]], precision=1.5
+        ),
+    ]
+    for operation in operations:
+        outcomes = []
+        for chip in (local, remote):
+            try:
+                operation(chip)
+                if chip is remote:
+                    remote.drain()
+                outcomes.append(None)
+            except (NandError, ValueError) as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0] is not None
+    assert local.counters == remote.counters
+
+
 def test_program_reset_sequence_matches_bus_partial_program(
     remote, local, geometry
 ):

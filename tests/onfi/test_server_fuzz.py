@@ -41,7 +41,7 @@ MUTATING_OPS = [
     Op.READ,
     Op.ERASE,
     Op.PROGRAM,
-    Op.PARTIAL_PROGRAM,
+    Op.PARTIAL_PROGRAM_LOCATIONS,
     Op.READ_PAGES,
     Op.PROGRAM_PAGES,
     Op.READ_LOCATIONS,
@@ -118,6 +118,40 @@ def test_malformed_payloads_leave_chip_untouched(op, payload):
     assert chip.counters.diff(counters).total_ops == 0
     assert chip.clock == clock
     assert np.array_equal(chip.probe_voltages(0, 0), before)
+
+
+@given(
+    counts=st.lists(st.integers(-3, 6), min_size=1, max_size=4),
+    n_cells=st.integers(0, 8),
+    n_locations=st.integers(1, 4),
+)
+@settings(**FUZZ_SETTINGS)
+def test_pp_counts_must_split_the_cell_list(counts, n_cells, n_locations):
+    """PARTIAL_PROGRAM_LOCATIONS: counts that do not split the flat
+    cell list over the locations are a defined error, chip untouched."""
+    server = fresh_server()
+    chip = server.chip
+    counters = chip.counters.copy()
+    locations = [(0, page) for page in range(n_locations)]
+    _, chunks = encode_request(
+        Op.PARTIAL_PROGRAM_LOCATIONS,
+        (1.0, 1.0, locations, counts, list(range(n_cells))),
+    )
+    status, out, keep = server.handle_frame(
+        int(Op.PARTIAL_PROGRAM_LOCATIONS), 0, 1, b"".join(chunks)
+    )
+    consistent = (
+        len(counts) == n_locations
+        and min(counts) >= 0
+        and sum(counts) == n_cells
+    )
+    assert keep
+    assert bool(status & STATUS_FAIL) is not consistent
+    if consistent:
+        assert chip.counters.diff(counters).partial_programs == n_locations
+    else:
+        assert isinstance(decode_error(out), NandError)
+        assert chip.counters.diff(counters).total_ops == 0
 
 
 @given(payloads=st.lists(st.binary(max_size=32), max_size=8))

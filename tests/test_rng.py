@@ -93,3 +93,11 @@ def test_uniform_fields_rows_match_uniform_field():
         np.testing.assert_array_equal(
             fields[i], uniform_field(7, "leak", i, 5, size=100)
         )
+
+
+def test_derive_seeds_tuple_entries_are_several_parts():
+    seeds = derive_seeds(3, ("pp",), [(1, 2, 3), (4, 5, 6)], ("x",))
+    assert seeds.tolist() == [
+        derive_seed(3, "pp", 1, 2, 3, "x"),
+        derive_seed(3, "pp", 4, 5, 6, "x"),
+    ]
